@@ -24,15 +24,11 @@ from .compare import (
 )
 from .dispersion import (
     DispersionBreakdown,
-    coefficient_of_variation,
-    column_mean,
-    column_std,
     dwm_weights,
 )
 from .entropy import (
     EntropyBreakdown,
     NormalizedMatrix,
-    column_entropy,
     entropy_weights,
     normalize_columns,
 )
@@ -96,14 +92,10 @@ __all__ = [
     # entropy method
     "EntropyBreakdown",
     "NormalizedMatrix",
-    "column_entropy",
     "entropy_weights",
     "normalize_columns",
     # dispersion method
     "DispersionBreakdown",
-    "coefficient_of_variation",
-    "column_mean",
-    "column_std",
     "dwm_weights",
     # scoring and comparison
     "ComparisonReport",

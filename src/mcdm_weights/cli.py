@@ -188,7 +188,7 @@ def emit_bench(summary: BenchSummary) -> str:
 
 def _load_matrix(path_flag: str):
     path = resolve_input(path_flag)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     return parse_matrix(text), sha256_digest(text)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllColumnsConstant, DegenerateMean, TooFewAlternatives
+from .errors import AllColumnsConstant, DegenerateMean
 from .matrix import DecisionMatrix, WeightVector
 
 # CVs at or below this are indistinguishable from a constant column
@@ -32,38 +32,6 @@ class DispersionBreakdown:
             raise ValueError("standard deviations must be nonnegative")
         if any(c < 0 for c in self.cv):
             raise ValueError("coefficients of variation must be nonnegative")
-
-
-def column_mean(values) -> float:
-    """Arithmetic mean of one criterion column."""
-    col = np.asarray(values, dtype=np.float64)
-    if col.size < 2:
-        raise TooFewAlternatives("a column needs at least 2 values")
-    return float(col.mean())
-
-
-def column_std(values) -> float:
-    """Population standard deviation (divisor n) of one criterion column."""
-    col = np.asarray(values, dtype=np.float64)
-    if col.size < 2:
-        raise TooFewAlternatives("a column needs at least 2 values")
-    return float(col.std())
-
-
-def coefficient_of_variation(
-    mean: float, std: float, value_scale: float | None = None
-) -> float:
-    """CV = std / |mean|.
-
-    The absolute mean keeps all-negative columns on the nonnegative weight
-    simplex; for positive data it coincides with the plain ratio. A mean
-    that vanishes relative to ``value_scale`` (the column's largest
-    magnitude, when known) makes the CV meaningless and raises instead.
-    """
-    scale = abs(mean) if value_scale is None else value_scale
-    if abs(mean) <= 1e-9 * max(1.0, scale):
-        raise DegenerateMean()
-    return std / abs(mean)
 
 
 def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdown]:

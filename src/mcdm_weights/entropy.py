@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllColumnsUniform,
-    NegativeEntry,
-    TooFewAlternatives,
-    ZeroColumn,
-)
+from .errors import AllColumnsUniform, NegativeEntry, ZeroColumn
 from .matrix import DecisionMatrix, WeightVector
 
 # divergences at or below this are indistinguishable from a uniform column
@@ -98,19 +93,6 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     # Shannon convention: 0 * ln 0 = 0
     safe = np.where(p > 0.0, p, 1.0)
     return safe * np.log(safe)
-
-
-def column_entropy(shares, n_alternatives: int) -> float:
-    """Scaled Shannon entropy -1/ln(n) * sum(p ln p) of one share column.
-
-    The column is expected to sum to 1. Equals 1 for a uniform column and
-    0 for a one-hot column.
-    """
-    if n_alternatives < 2:
-        raise TooFewAlternatives("entropy scaling needs at least 2 alternatives")
-    p = np.asarray(shares, dtype=np.float64)
-    k = 1.0 / np.log(n_alternatives)
-    return float(-k * _plogp(p).sum())
 
 
 def entropy_weights(matrix: DecisionMatrix) -> tuple[WeightVector, EntropyBreakdown]:

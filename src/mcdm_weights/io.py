@@ -39,9 +39,6 @@ TOOL = f"mcdm-weights {__version__}"
 REPORT_SCHEMA = "mcdm-weights/report/v1"
 PLOT_HEADER = "criterion,weight_entropy,weight_dwm"
 
-_ENTROPY_COLUMNS = ("entropy", "divergence", "weight_entropy", "rank_entropy")
-_DWM_COLUMNS = ("mean", "std", "cv", "weight_dwm", "rank_dwm")
-
 
 # ---------------------------------------------------------------- parsing
 
@@ -118,11 +115,6 @@ def _read_rows(text: str) -> tuple[MatrixDocument, tuple[int, ...]]:
     return doc, tuple(lines)
 
 
-def read_document(text: str) -> MatrixDocument:
-    """Split delimited text into header specs, labels, and raw cells."""
-    return _read_rows(text)[0]
-
-
 def parse_matrix(
     text: str, likert_map: LikertMap = DEFAULT_LIKERT_MAP
 ) -> DecisionMatrix:
@@ -185,61 +177,49 @@ def sha256_digest(text: str) -> str:
 
 # ---------------------------------------------------------------- reports
 
+#: A report is its JSON document: a dict in emitted key order whose values
+#: are already quantized, so emitting and re-parsing yields an equal value.
+ReportDocument = dict
 
-def _q6(value: float) -> float:
-    return round(float(value), 6)
-
-
-def _f6(value: float) -> str:
-    return f"{value:.6f}"
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropy-method block of a report, quantized to 6 decimals."""
-
-    k: float
-    entropy: tuple[float, ...]
-    divergence: tuple[float, ...]
-    weights: tuple[float, ...]
-    ranks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DispersionReport:
-    """Dispersion-method block of a report, quantized to 6 decimals."""
-
-    mean: tuple[float, ...]
-    std: tuple[float, ...]
-    cv: tuple[float, ...]
-    weights: tuple[float, ...]
-    ranks: tuple[int, ...]
+#: Every field of the entropy, dwm and comparison blocks, in emitted order, as
+#: (block, JSON key, CSV name, kind). A "column" field holds one value per
+#: criterion and becomes a CSV table column; a "meta" field holds one value
+#: per report and becomes a CSV ``# name=value`` line above the table.
+REPORT_FIELDS = (
+    ("entropy", "k", "entropy_k", "meta"),
+    ("entropy", "entropy", "entropy", "column"),
+    ("entropy", "divergence", "divergence", "column"),
+    ("entropy", "weights", "weight_entropy", "column"),
+    ("entropy", "ranks", "rank_entropy", "column"),
+    ("dwm", "mean", "mean", "column"),
+    ("dwm", "std", "std", "column"),
+    ("dwm", "cv", "cv", "column"),
+    ("dwm", "weights", "weight_dwm", "column"),
+    ("dwm", "ranks", "rank_dwm", "column"),
+    ("comparison", "pearson", "pearson", "meta"),
+    ("comparison", "spearman", "spearman", "meta"),
+    ("comparison", "rank_agreements", "rank_agreements", "meta"),
+)
 
 
-@dataclass(frozen=True)
-class ComparisonBlock:
-    """Method-to-method statistics block; None means not applicable."""
+def _q6(value):
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, tuple):
+        return [_q6(v) for v in value]
+    return value  # ranks and counts are ints; None marks "not applicable"
 
-    pearson: float | None
-    spearman: float | None
-    rank_agreements: int
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "NA" if value is None else str(value)
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Complete machine-readable run record.
-
-    Holds exactly what gets printed (already quantized), so emitting and
-    re-parsing yields an identical value.
-    """
-
-    tool: str
-    input_digest: str
-    criteria: tuple[str, ...]
-    notes: tuple[str, ...] = ()
-    entropy: EntropyReport | None = None
-    dwm: DispersionReport | None = None
-    comparison: ComparisonBlock | None = None
+def _uncell(text: str):
+    if text == "NA":
+        return None
+    return int(text) if text.isdigit() else float(text)
 
 
 def build_report(
@@ -254,245 +234,102 @@ def build_report(
 
     Ranks are extracted before quantization; printed values are rounded to
     6 decimals, exceeding the precision of any weight this tool emits.
+    Blocks for methods that did not run are omitted.
+
+    Raises:
+        ValueError: a note contains a line break, which a CSV report could
+            not carry on its one ``# note=`` line.
     """
-    entropy_block = None
-    if entropy is not None:
-        weights, breakdown = entropy
-        entropy_block = EntropyReport(
-            k=_q6(breakdown.k),
-            entropy=tuple(_q6(e) for e in breakdown.entropy),
-            divergence=tuple(_q6(d) for d in breakdown.divergence),
-            weights=tuple(_q6(w) for w in weights),
-            ranks=rank_desc(weights.weights),
-        )
-    dwm_block = None
-    if dwm is not None:
-        weights, breakdown = dwm
-        dwm_block = DispersionReport(
-            mean=tuple(_q6(m) for m in breakdown.mean),
-            std=tuple(_q6(s) for s in breakdown.std),
-            cv=tuple(_q6(c) for c in breakdown.cv),
-            weights=tuple(_q6(w) for w in weights),
-            ranks=rank_desc(weights.weights),
-        )
-    comparison_block = None
-    if comparison is not None:
-        comparison_block = ComparisonBlock(
-            pearson=None if comparison.pearson is None else _q6(comparison.pearson),
-            spearman=None if comparison.spearman is None else _q6(comparison.spearman),
-            rank_agreements=comparison.rank_agreements,
-        )
-    return ReportDocument(
-        tool=TOOL,
-        input_digest=input_digest,
-        criteria=tuple(criteria),
-        notes=tuple(notes),
-        entropy=entropy_block,
-        dwm=dwm_block,
-        comparison=comparison_block,
-    )
+    doc: ReportDocument = {
+        "schema": REPORT_SCHEMA,
+        "tool": TOOL,
+        "input_digest": input_digest,
+        "criteria": list(criteria),
+    }
+    for note in notes:
+        if "\n" in note or "\r" in note:
+            raise ValueError(f"report note {note!r} contains a line break")
+    if notes:
+        doc["notes"] = list(notes)
+    sources = {} if comparison is None else {"comparison": vars(comparison)}
+    for block, result in (("entropy", entropy), ("dwm", dwm)):
+        if result is not None:
+            # a method block reads its breakdown, its weight vector's
+            # weights, and the ranks of those weights
+            weights, breakdown = result
+            sources[block] = {
+                **vars(breakdown),
+                **vars(weights),
+                "ranks": rank_desc(weights.weights),
+            }
+    for block, key, _, _ in REPORT_FIELDS:
+        if block in sources:
+            doc.setdefault(block, {})[key] = _q6(sources[block][key])
+    return doc
 
 
 def emit_report(report: ReportDocument, format: str = "json") -> str:
     """Serialize a report; absent blocks are omitted, never null-filled."""
     if format == "json":
-        return _emit_report_json(report)
-    if format == "csv":
-        return _emit_report_csv(report)
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def parse_report(text: str, format: str = "json") -> ReportDocument:
-    """Inverse of emit_report for both formats."""
-    if format == "json":
-        return _parse_report_json(text)
-    if format == "csv":
-        return _parse_report_csv(text)
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def _emit_report_json(report: ReportDocument) -> str:
-    doc: dict = {
-        "schema": REPORT_SCHEMA,
-        "tool": report.tool,
-        "input_digest": report.input_digest,
-        "criteria": list(report.criteria),
-    }
-    if report.notes:
-        doc["notes"] = list(report.notes)
-    if report.entropy is not None:
-        doc["entropy"] = {
-            "k": report.entropy.k,
-            "entropy": list(report.entropy.entropy),
-            "divergence": list(report.entropy.divergence),
-            "weights": list(report.entropy.weights),
-            "ranks": list(report.entropy.ranks),
-        }
-    if report.dwm is not None:
-        doc["dwm"] = {
-            "mean": list(report.dwm.mean),
-            "std": list(report.dwm.std),
-            "cv": list(report.dwm.cv),
-            "weights": list(report.dwm.weights),
-            "ranks": list(report.dwm.ranks),
-        }
-    if report.comparison is not None:
-        doc["comparison"] = {
-            "pearson": report.comparison.pearson,
-            "spearman": report.comparison.spearman,
-            "rank_agreements": report.comparison.rank_agreements,
-        }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _parse_report_json(text: str) -> ReportDocument:
-    doc = json.loads(text)
-    entropy = None
-    if "entropy" in doc:
-        block = doc["entropy"]
-        entropy = EntropyReport(
-            k=block["k"],
-            entropy=tuple(block["entropy"]),
-            divergence=tuple(block["divergence"]),
-            weights=tuple(block["weights"]),
-            ranks=tuple(block["ranks"]),
-        )
-    dwm = None
-    if "dwm" in doc:
-        block = doc["dwm"]
-        dwm = DispersionReport(
-            mean=tuple(block["mean"]),
-            std=tuple(block["std"]),
-            cv=tuple(block["cv"]),
-            weights=tuple(block["weights"]),
-            ranks=tuple(block["ranks"]),
-        )
-    comparison = None
-    if "comparison" in doc:
-        block = doc["comparison"]
-        comparison = ComparisonBlock(
-            pearson=block["pearson"],
-            spearman=block["spearman"],
-            rank_agreements=block["rank_agreements"],
-        )
-    return ReportDocument(
-        tool=doc["tool"],
-        input_digest=doc["input_digest"],
-        criteria=tuple(doc["criteria"]),
-        notes=tuple(doc.get("notes", ())),
-        entropy=entropy,
-        dwm=dwm,
-        comparison=comparison,
-    )
-
-
-def _emit_report_csv(report: ReportDocument) -> str:
+        return json.dumps(report, indent=2) + "\n"
+    if format != "csv":
+        raise ValueError(f"unknown report format {format!r}")
+    # the string fields (schema, tool, input_digest) lead the metadata lines
     lines = [
-        f"# schema={REPORT_SCHEMA}",
-        f"# tool={report.tool}",
-        f"# input_digest={report.input_digest}",
+        f"# {key}={value}" for key, value in report.items() if isinstance(value, str)
     ]
-    for note in report.notes:
-        lines.append(f"# note={note}")
-    if report.entropy is not None:
-        lines.append(f"# entropy_k={_f6(report.entropy.k)}")
-    if report.comparison is not None:
-        block = report.comparison
-        pearson = "NA" if block.pearson is None else _f6(block.pearson)
-        spearman = "NA" if block.spearman is None else _f6(block.spearman)
-        lines.append(f"# pearson={pearson}")
-        lines.append(f"# spearman={spearman}")
-        lines.append(f"# rank_agreements={block.rank_agreements}")
-
-    columns = ["criterion"]
-    if report.entropy is not None:
-        columns += list(_ENTROPY_COLUMNS)
-    if report.dwm is not None:
-        columns += list(_DWM_COLUMNS)
-
+    lines += [f"# note={note}" for note in report.get("notes", ())]
+    columns = []
+    for block, key, name, kind in REPORT_FIELDS:
+        if block in report:
+            if kind == "meta":
+                lines.append(f"# {name}={_cell(report[block][key])}")
+            else:
+                columns.append((name, report[block][key]))
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for j, name in enumerate(report.criteria):
-        row: list[str] = [name]
-        if report.entropy is not None:
-            row += [
-                _f6(report.entropy.entropy[j]),
-                _f6(report.entropy.divergence[j]),
-                _f6(report.entropy.weights[j]),
-                str(report.entropy.ranks[j]),
-            ]
-        if report.dwm is not None:
-            row += [
-                _f6(report.dwm.mean[j]),
-                _f6(report.dwm.std[j]),
-                _f6(report.dwm.cv[j]),
-                _f6(report.dwm.weights[j]),
-                str(report.dwm.ranks[j]),
-            ]
-        writer.writerow(row)
+    writer.writerow(["criterion"] + [name for name, _ in columns])
+    for j, criterion in enumerate(report["criteria"]):
+        writer.writerow([criterion] + [_cell(values[j]) for _, values in columns])
     return "\n".join(lines) + "\n" + out.getvalue()
 
 
-def _parse_report_csv(text: str) -> ReportDocument:
+def parse_report(text: str, format: str = "json") -> ReportDocument:
+    """Inverse of emit_report for both formats.
+
+    In CSV, ``# name=value`` metadata lines are read only above the table
+    header, so a criterion whose name starts with ``# `` stays a table row.
+    """
+    if format == "json":
+        return json.loads(text)
+    if format != "csv":
+        raise ValueError(f"unknown report format {format!r}")
+    lines = text.split("\n")
+    n_meta = 0
+    while lines[n_meta].startswith("# "):
+        n_meta += 1
     meta: dict[str, str] = {}
     notes: list[str] = []
-    table_lines: list[str] = []
-    for line in text.splitlines():
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            if key == "note":
-                notes.append(value)
-            else:
-                meta[key] = value
-        elif line:
-            table_lines.append(line)
-
-    rows = list(csv.reader(StringIO("\n".join(table_lines) + "\n")))
-    header, data = rows[0], rows[1:]
+    for line in lines[:n_meta]:
+        key, _, value = line[2:].partition("=")
+        if key == "note":
+            notes.append(value)
+        else:
+            meta[key] = value
+    header, *rows = csv.reader(StringIO("\n".join(lines[n_meta:])))
     index = {name: pos for pos, name in enumerate(header)}
-    criteria = tuple(row[0] for row in data)
 
-    def floats(column: str) -> tuple[float, ...]:
-        return tuple(float(row[index[column]]) for row in data)
-
-    def ints(column: str) -> tuple[int, ...]:
-        return tuple(int(row[index[column]]) for row in data)
-
-    entropy = None
-    if "weight_entropy" in index:
-        entropy = EntropyReport(
-            k=float(meta["entropy_k"]),
-            entropy=floats("entropy"),
-            divergence=floats("divergence"),
-            weights=floats("weight_entropy"),
-            ranks=ints("rank_entropy"),
-        )
-    dwm = None
-    if "weight_dwm" in index:
-        dwm = DispersionReport(
-            mean=floats("mean"),
-            std=floats("std"),
-            cv=floats("cv"),
-            weights=floats("weight_dwm"),
-            ranks=ints("rank_dwm"),
-        )
-    comparison = None
-    if "rank_agreements" in meta:
-        comparison = ComparisonBlock(
-            pearson=None if meta["pearson"] == "NA" else float(meta["pearson"]),
-            spearman=None if meta["spearman"] == "NA" else float(meta["spearman"]),
-            rank_agreements=int(meta["rank_agreements"]),
-        )
-    return ReportDocument(
-        tool=meta["tool"],
-        input_digest=meta["input_digest"],
-        criteria=criteria,
-        notes=tuple(notes),
-        entropy=entropy,
-        dwm=dwm,
-        comparison=comparison,
-    )
+    names = {name for _, _, name, _ in REPORT_FIELDS}
+    doc: ReportDocument = {k: v for k, v in meta.items() if k not in names}
+    doc["criteria"] = [row[0] for row in rows]
+    if notes:
+        doc["notes"] = notes
+    for block, key, name, kind in REPORT_FIELDS:
+        if kind == "meta" and name in meta:
+            doc.setdefault(block, {})[key] = _uncell(meta[name])
+        elif kind == "column" and name in index:
+            doc.setdefault(block, {})[key] = [_uncell(row[index[name]]) for row in rows]
+    return doc
 
 
 def emit_plot_series(
@@ -508,7 +345,7 @@ def emit_plot_series(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PLOT_HEADER.split(","))
     for name, we, wd in zip(criteria, entropy, dwm):
-        writer.writerow([name, _f6(we), _f6(wd)])
+        writer.writerow([name, _cell(we), _cell(wd)])
     return out.getvalue()
 
 
@@ -531,7 +368,7 @@ def load_fixture(
     name: str, likert_map: LikertMap = DEFAULT_LIKERT_MAP
 ) -> DecisionMatrix:
     """Parse one of the bundled datasets (e.g. "example1.csv")."""
-    return parse_matrix(fixture_path(name).read_text(encoding="utf-8"), likert_map)
+    return parse_matrix(fixture_path(name).read_text(encoding="utf-8-sig"), likert_map)
 
 
 def resolve_input(path: str) -> Path:

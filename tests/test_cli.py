@@ -77,6 +77,17 @@ class TestWeigh:
         assert out == ""
         assert err != ""
 
+    def test_utf8_bom_is_accepted(self, capsys, tmp_path):
+        text = fixture_path("example1.csv").read_text(encoding="utf-8")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        code, out, err = run(capsys, "weigh", "--input", str(marked))
+        assert (code, err) == (0, "")
+        _, expected, _ = run(capsys, "weigh", "--input", str(plain))
+        # the digest covers the decoded text, so the mark leaves no trace
+        assert out == expected
+
     def test_invalid_matrix_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "one-row.csv"
         bad.write_text("alternative,a,b\nA1,1,2\n", encoding="utf-8")

@@ -22,8 +22,8 @@ from mcdm_weights import (
 )
 
 import golden
-from conftest import random_matrices
 from oracles import oracle_pearson
+from sampling import random_matrices
 
 
 class TestSawScores:

@@ -7,73 +7,76 @@ from mcdm_weights import (
     AllColumnsConstant,
     DegenerateMean,
     TooFewAlternatives,
-    coefficient_of_variation,
-    column_mean,
-    column_std,
     dwm_weights,
     validate_matrix,
 )
 
 import golden
-from conftest import random_matrices
 from oracles import oracle_dwm_weights
+from sampling import random_matrices
+
+INCOME, DISTANCE = 0, 3  # example 1 columns [15, 12, 20, 30] and [10, 3, 30, 1]
+
+
+def breakdown_of(grid):
+    return dwm_weights(validate_matrix(grid))[1]
 
 
 class TestColumnStats:
-    def test_income_mean(self):
-        assert column_mean([15, 12, 20, 30]) == 19.25
+    def test_income_mean(self, example1):
+        assert dwm_weights(example1)[1].mean[INCOME] == 19.25
 
-    def test_distance_mean(self):
-        assert column_mean([10, 3, 30, 1]) == 11.0
+    def test_distance_mean(self, example1):
+        assert dwm_weights(example1)[1].mean[DISTANCE] == 11.0
 
     def test_constant_column_mean(self):
-        assert column_mean([4.2, 4.2, 4.2]) == 4.2
+        assert breakdown_of([[4.2, 1.0], [4.2, 2.0], [4.2, 3.0]]).mean[0] == 4.2
 
-    def test_income_std_is_population_form(self):
+    def test_income_std_is_population_form(self, example1):
         # divisor n, not n-1: sqrt(186.75 / 4)
-        assert column_std([15, 12, 20, 30]) == pytest.approx(6.832825, abs=1e-5)
+        std = dwm_weights(example1)[1].std[INCOME]
+        assert std == pytest.approx(6.832825, abs=1e-5)
 
-    def test_distance_std(self):
-        assert column_std([10, 3, 30, 1]) == pytest.approx(11.46734, abs=1e-4)
+    def test_distance_std(self, example1):
+        std = dwm_weights(example1)[1].std[DISTANCE]
+        assert std == pytest.approx(11.46734, abs=1e-4)
 
     def test_constant_column_std_is_zero(self):
-        assert column_std([7.0, 7.0, 7.0, 7.0]) == 0.0
+        grid = [[7.0, 1.0], [7.0, 2.0], [7.0, 3.0], [7.0, 4.0]]
+        assert breakdown_of(grid).std[0] == 0.0
 
     def test_single_value_rejected(self):
+        # a column needs two values; the matrix model refuses fewer rows
         with pytest.raises(TooFewAlternatives):
-            column_mean([1.0])
-        with pytest.raises(TooFewAlternatives):
-            column_std([1.0])
+            breakdown_of([[1.0]])
 
 
 class TestCoefficientOfVariation:
-    def test_income(self):
-        assert coefficient_of_variation(19.25, 6.832825) == pytest.approx(
-            0.354952, abs=1e-5
-        )
+    def test_income(self, example1):
+        cv = dwm_weights(example1)[1].cv[INCOME]
+        assert cv == pytest.approx(0.354952, abs=1e-5)
 
-    def test_distance(self):
-        assert coefficient_of_variation(11.0, 11.46734) == pytest.approx(
-            1.042486, abs=1e-5
-        )
+    def test_distance(self, example1):
+        cv = dwm_weights(example1)[1].cv[DISTANCE]
+        assert cv == pytest.approx(1.042486, abs=1e-5)
 
     def test_all_negative_column(self):
         # oracle-computed: CV uses the absolute mean, so negative data works
-        mu = column_mean(golden.NEGATIVE_COLUMN)
-        s = column_std(golden.NEGATIVE_COLUMN)
-        assert mu == golden.NEGATIVE_COLUMN_MEAN
-        assert s == pytest.approx(golden.NEGATIVE_COLUMN_STD, abs=1e-6)
-        assert coefficient_of_variation(mu, s) == pytest.approx(
-            golden.NEGATIVE_COLUMN_CV, abs=1e-6
-        )
+        grid = [[v, 1.0 + k] for k, v in enumerate(golden.NEGATIVE_COLUMN)]
+        breakdown = breakdown_of(grid)
+        assert breakdown.mean[0] == golden.NEGATIVE_COLUMN_MEAN
+        assert breakdown.std[0] == pytest.approx(golden.NEGATIVE_COLUMN_STD, abs=1e-6)
+        assert breakdown.cv[0] == pytest.approx(golden.NEGATIVE_COLUMN_CV, abs=1e-6)
 
     def test_zero_mean_rejected(self):
         with pytest.raises(DegenerateMean):
-            coefficient_of_variation(0.0, 1.0)
+            breakdown_of([[-1.0, 1.0], [1.0, 2.0]])
 
     def test_mean_vanishing_at_scale_rejected(self):
+        # mean 5e-4 is nonzero but vanishes next to the column's scale 1e6
+        grid = [[1e6, 1.0], [-1e6, 2.0], [1e-3, 3.0], [1e-3, 4.0]]
         with pytest.raises(DegenerateMean):
-            coefficient_of_variation(1e-3, 5e5, value_scale=1e6)
+            breakdown_of(grid)
 
 
 class TestDwmWeights:

@@ -7,15 +7,14 @@ from mcdm_weights import (
     AllColumnsUniform,
     NegativeEntry,
     ZeroColumn,
-    column_entropy,
     entropy_weights,
     normalize_columns,
     validate_matrix,
 )
 
 import golden
-from conftest import random_matrices
 from oracles import oracle_entropy_weights
+from sampling import random_matrices
 
 
 class TestNormalizeColumns:
@@ -60,21 +59,27 @@ class TestNormalizeColumns:
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
+def column_entropies(grid):
+    return entropy_weights(validate_matrix(grid))[1].entropy
+
+
 class TestColumnEntropy:
     def test_income_column_matches_published(self, example1):
-        shares = normalize_columns(example1)
-        assert column_entropy(shares.column(0), 4) == pytest.approx(0.9563, abs=5e-4)
+        entropy = entropy_weights(example1)[1].entropy[0]
+        assert entropy == pytest.approx(0.9563, abs=5e-4)
 
     def test_uniform_column_is_fully_entropic(self):
-        assert column_entropy([0.25, 0.25, 0.25, 0.25], 4) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        grid = [[3.0, 1.0], [3.0, 2.0], [3.0, 3.0], [3.0, 4.0]]
+        assert column_entropies(grid)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_one_hot_column_has_zero_entropy(self):
-        assert column_entropy([1.0, 0.0, 0.0, 0.0], 4) == 0.0
+        grid = [[5.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]]
+        assert column_entropies(grid)[0] == 0.0
 
     def test_two_alternatives_allowed(self):
-        assert column_entropy([0.5, 0.5], 2) == pytest.approx(1.0, abs=1e-12)
+        assert column_entropies([[5.0, 1.0], [5.0, 2.0]])[0] == pytest.approx(
+            1.0, abs=1e-12
+        )
 
 
 class TestEntropyWeights:

@@ -10,8 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from mcdm_weights import build_report, emit_report, load_fixture, sha256_digest
-from mcdm_weights import compare_weights, dwm_weights, emit_matrix, entropy_weights
+from mcdm_weights import (
+    build_report,
+    compare_weights,
+    dwm_weights,
+    emit_matrix,
+    emit_report,
+    entropy_weights,
+    load_fixture,
+    sha256_digest,
+)
 from mcdm_weights.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -33,7 +41,9 @@ COMMANDS.update({
     "bench-t30-s2-negative.json": (
         "bench", "--trials", "30", "--seed", "2", "--lo", "-50", "--hi", "-1",
     ),
-    "bench-t80-s12-w8.json": ("bench", "--trials", "80", "--seed", "12", "--workers", "8"),
+    "bench-t80-s12-w8.json": (
+        "bench", "--trials", "80", "--seed", "12", "--workers", "8",
+    ),
 })
 
 NOTES = ("fixture run", "second note: commas, quotes \" and = signs")

@@ -107,13 +107,13 @@ class TestReports:
     def test_weight_fields_match_published_tables(self, example1):
         report = both_methods_report(example1)
         np.testing.assert_allclose(
-            report.entropy.weights, golden.EXAMPLE1_ENTROPY_W, atol=1e-6
+            report["entropy"]["weights"], golden.EXAMPLE1_ENTROPY_W, atol=1e-6
         )
         np.testing.assert_allclose(
-            report.dwm.weights, golden.EXAMPLE1_DWM_W, atol=1e-6
+            report["dwm"]["weights"], golden.EXAMPLE1_DWM_W, atol=1e-6
         )
-        assert report.entropy.ranks == golden.EXAMPLE1_RANKS
-        assert report.dwm.ranks == golden.EXAMPLE1_RANKS
+        assert report["entropy"]["ranks"] == list(golden.EXAMPLE1_RANKS)
+        assert report["dwm"]["ranks"] == list(golden.EXAMPLE1_RANKS)
 
     def test_single_method_omits_comparison(self, example1):
         report = build_report(
@@ -132,9 +132,19 @@ class TestReports:
     def test_not_applicable_correlation_roundtrips(self):
         m = validate_matrix([[1.0, 2.0], [3.0, 6.0]])
         report = both_methods_report(m)
-        assert report.comparison.pearson is None
+        assert report["comparison"]["pearson"] is None
         for fmt in ("json", "csv"):
             assert parse_report(emit_report(report, fmt), fmt) == report
+
+    def test_csv_roundtrip_keeps_hash_named_criterion(self):
+        m = validate_matrix([[1.0, 4.0], [3.0, 2.0]], criteria=("# x", "y"))
+        report = both_methods_report(m)
+        assert parse_report(emit_report(report, "csv"), "csv") == report
+
+    def test_note_with_line_break_rejected(self, example1):
+        for note in ("two\nlines", "carriage\rreturn"):
+            with pytest.raises(ValueError):
+                both_methods_report(example1, notes=(note,))
 
     def test_emission_is_deterministic(self, example2):
         report = both_methods_report(example2)
