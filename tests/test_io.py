@@ -40,6 +40,53 @@ def both_methods_report(matrix, notes=()):
     )
 
 
+#: One fault per input: (id, text, error class, line, column, message).
+MALFORMED = [
+    ("short-row", "alternative,a,b,c\nA1,1,2\nA2,1,2,3\n",
+     ParseError, 2, 1, "line 2, column 1: row has 2 cells, expected 3"),
+    ("long-row", "alternative,a,b\nA1,1,2,3\nA2,1,2\n",
+     ParseError, 2, 1, "line 2, column 1: row has 3 cells, expected 2"),
+    ("missing-label", "alternative,a\n ,1\nA2,2\n",
+     ParseError, 2, 1, "line 2, column 1: missing alternative label"),
+    ("empty-cell", "alternative,a,b\nA1,1,\nA2,3,4\n",
+     ParseError, 2, 3, "line 2, column 3: empty cell"),
+    ("blank-cell", "alternative,a,b\nA1,1,2\nA2, ,4\n",
+     ParseError, 3, 2, "line 3, column 2: empty cell"),
+    ("unknown-grade", "alternative,a,b\nA1,1,Low\nA2,2,Bananas\n",
+     UnknownGrade, 3, 3, "unknown grade 'Bananas' at line 3, column 3"),
+    ("unknown-grade-after-blank-lines", "\n\nalternative,a\n\nA1, Lowish \nA2,2\n",
+     UnknownGrade, 5, 2, "unknown grade 'Lowish' at line 5, column 2"),
+    ("unknown-grade-after-quoted-newline", '"alternative",a\n"A\n1",x\nA2,2\n',
+     UnknownGrade, 3, 2, "unknown grade 'x' at line 3, column 2"),
+    ("bad-first-header-cell", "name,a,b\nA1,1,2\nA2,3,4\n",
+     ParseError, 1, 1,
+     "line 1, column 1: first header cell must be blank or 'alternative'"),
+    ("no-criterion-columns", "alternative\nA1\nA2\n",
+     ParseError, 1, 2, "line 1, column 2: no criterion columns"),
+    ("unknown-annotation", "alternative,a:sideways\nA1,1\nA2,2\n",
+     ParseError, 1, 2, "line 1, column 2: unknown annotation 'sideways'"),
+    ("empty-criterion-name", "alternative,a,:cost\nA1,1,2\nA2,3,4\n",
+     ParseError, 1, 3, "line 1, column 3: empty criterion name"),
+    ("empty-document", "", ParseError, 1, 1, "line 1, column 1: empty document"),
+    ("blank-document", "\n , \n\n", ParseError, 1, 1, "line 1, column 1: empty document"),
+    ("csv-error", "alternative,a\nA1,1\rA2,2\n",
+     ParseError, 2, 1,
+     "line 2, column 1: new-line character seen in unquoted field - "
+     "do you need to open the file in universal-newline mode?"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, line, col, message",
+    [pytest.param(*case[1:], id=case[0]) for case in MALFORMED],
+)
+def test_malformed_input_reports_fault_position(text, error, line, col, message):
+    with pytest.raises(error) as info:
+        parse_matrix(text)
+    assert type(info.value) is error
+    assert (info.value.line, info.value.col, str(info.value)) == (line, col, message)
+
+
 class TestParseMatrix:
     def test_example1_fixture(self, example1, example1_golden_matrix):
         assert example1 == example1_golden_matrix
@@ -76,6 +123,16 @@ class TestParseMatrix:
     def test_empty_cell_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix("alternative,a,b\nA1,1,\nA2,3,4\n")
+
+    def test_grades_match_case_and_whitespace_insensitively(self):
+        text = (
+            "alternative,a,b:reverse\n"
+            "A1,1,  extremely   HIGH \n"
+            "A2,2,relatively\tLOW\n"
+            "A3,3,Medium\n"
+        )
+        m = parse_matrix(text)
+        np.testing.assert_array_equal(m.values[:, 1], [1.0, 5.0, 4.0])
 
     def test_cost_annotation_recorded(self):
         m = parse_matrix("alternative,price:cost,quality\nA1,10,2\nA2,20,4\n")
