@@ -54,7 +54,6 @@ from .errors import (
     ZeroColumn,
 )
 from .io import (
-    MatrixDocument,
     ReportDocument,
     build_report,
     emit_matrix,
@@ -107,7 +106,6 @@ __all__ = [
     "saw_scores",
     "spearman",
     # input/output
-    "MatrixDocument",
     "ReportDocument",
     "build_report",
     "emit_matrix",

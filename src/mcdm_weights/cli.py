@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compare import compare_weights, pearson, rank_desc
+from .compare import compare_weights, pearson
 from .dispersion import dwm_weights
 from .entropy import entropy_weights
 from .errors import ConstantVector, InputError, LengthMismatch, MethodError
@@ -106,9 +106,8 @@ def _run_trial(
         r = pearson(weights_entropy.weights, weights_dwm.weights)
     except (ConstantVector, LengthMismatch):
         r = None
-    agree = rank_desc(weights_entropy.weights).index(1) == rank_desc(
-        weights_dwm.weights
-    ).index(1)
+    # argmax takes the first maximum: rank_desc's lower-index tie break
+    agree = bool(np.argmax(weights_entropy.weights) == np.argmax(weights_dwm.weights))
     return _TrialOutcome(entropy_ok=True, dwm_ok=True, pearson=r, rank1_agree=agree)
 
 

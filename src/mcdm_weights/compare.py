@@ -104,16 +104,11 @@ def pearson(x, y) -> float:
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
     # descending average ranks; tied values share the mean of their positions
-    order = np.lexsort((np.arange(values.size), -values))
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # (each NaN stays its own group, ranked last in index order)
+    _, inverse, counts = np.unique(
+        -values, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float:

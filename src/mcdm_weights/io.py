@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 
@@ -43,76 +42,28 @@ PLOT_HEADER = "criterion,weight_entropy,weight_dwm"
 # ---------------------------------------------------------------- parsing
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
-    """Raw parsed matrix file: labels, criterion specs, unconverted cells."""
-
-    alternatives: tuple[str, ...]
-    criteria: tuple[CriterionSpec, ...]
-    cells: tuple[tuple[str, ...], ...]
-
-
-def _parse_header_cell(cell: str, line: int, col: int) -> CriterionSpec:
-    parts = [p.strip() for p in cell.split(":")]
-    name = parts[0]
-    if not name:
-        raise ParseError(line, col, "empty criterion name")
-    direction = "benefit"
-    reverse = False
-    for annotation in parts[1:]:
-        key = annotation.casefold()
-        if key == "cost":
-            direction = "cost"
-        elif key == "reverse":
-            reverse = True
-        else:
-            raise ParseError(line, col, f"unknown annotation {annotation!r}")
-    return CriterionSpec(name=name, direction=direction, likert_reverse=reverse)
-
-
-def _read_rows(text: str) -> tuple[MatrixDocument, tuple[int, ...]]:
-    reader = csv.reader(StringIO(text))
-    rows: list[tuple[int, list[str]]] = []
-    try:
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            rows.append((reader.line_num, [cell.strip() for cell in row]))
-    except csv.Error as exc:
-        raise ParseError(reader.line_num, 1, str(exc)) from None
-    if not rows:
-        raise ParseError(1, 1, "empty document")
-
-    header_line, header = rows[0]
+def _parse_header(header: list[str], line: int) -> tuple[CriterionSpec, ...]:
     if header[0].casefold() not in ("", "alternative"):
-        raise ParseError(
-            header_line, 1, "first header cell must be blank or 'alternative'"
-        )
+        raise ParseError(line, 1, "first header cell must be blank or 'alternative'")
     if len(header) < 2:
-        raise ParseError(header_line, 2, "no criterion columns")
-    criteria = tuple(
-        _parse_header_cell(cell, header_line, col)
-        for col, cell in enumerate(header[1:], start=2)
-    )
-
-    alternatives: list[str] = []
-    cells: list[tuple[str, ...]] = []
-    lines: list[int] = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(criteria) + 1:
-            raise ParseError(
-                lineno,
-                1,
-                f"row has {len(row) - 1} cells, expected {len(criteria)}",
-            )
-        if not row[0]:
-            raise ParseError(lineno, 1, "missing alternative label")
-        alternatives.append(row[0])
-        cells.append(tuple(row[1:]))
-        lines.append(lineno)
-
-    doc = MatrixDocument(tuple(alternatives), criteria, tuple(cells))
-    return doc, tuple(lines)
+        raise ParseError(line, 2, "no criterion columns")
+    criteria = []
+    for col, cell in enumerate(header[1:], start=2):
+        name, *annotations = [p.strip() for p in cell.split(":")]
+        if not name:
+            raise ParseError(line, col, "empty criterion name")
+        direction = "benefit"
+        reverse = False
+        for annotation in annotations:
+            key = annotation.casefold()
+            if key == "cost":
+                direction = "cost"
+            elif key == "reverse":
+                reverse = True
+            else:
+                raise ParseError(line, col, f"unknown annotation {annotation!r}")
+        criteria.append(CriterionSpec(name, direction, reverse))
+    return tuple(criteria)
 
 
 def parse_matrix(
@@ -121,7 +72,8 @@ def parse_matrix(
     """Parse delimited text into a validated DecisionMatrix.
 
     Numeric cells are taken as-is; textual cells are resolved through the
-    Likert map, honoring each column's ``:reverse`` annotation.
+    Likert map, honoring each column's ``:reverse`` annotation. Rows are
+    checked as they are read, so the first fault in file order is reported.
 
     Raises:
         ParseError: structural problems (bad header, ragged row, empty cell).
@@ -129,24 +81,43 @@ def parse_matrix(
             line/column attached).
         Any validate_matrix error (NonFiniteValue, TooFewAlternatives, ...).
     """
-    doc, lines = _read_rows(text)
+    reader = csv.reader(StringIO(text))
+    criteria: tuple[CriterionSpec, ...] | None = None
+    alternatives: list[str] = []
     grid: list[list[float]] = []
-    for i, row in enumerate(doc.cells):
-        converted: list[float] = []
-        for j, token in enumerate(row):
-            line, col = lines[i], j + 2
-            if not token:
-                raise ParseError(line, col, "empty cell")
-            try:
-                converted.append(float(token))
-            except ValueError:
-                if token not in likert_map:
-                    raise UnknownGrade(token, line=line, col=col) from None
-                converted.append(
-                    likert_map.score(token, reverse=doc.criteria[j].likert_reverse)
-                )
-        grid.append(converted)
-    return validate_matrix(grid, doc.alternatives, doc.criteria)
+    try:
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            line = reader.line_num
+            if criteria is None:
+                criteria = _parse_header(cells, line)
+                continue
+            if len(cells) != len(criteria) + 1:
+                reason = f"row has {len(cells) - 1} cells, expected {len(criteria)}"
+                raise ParseError(line, 1, reason)
+            label = cells[0]
+            if not label:
+                raise ParseError(line, 1, "missing alternative label")
+            values: list[float] = []
+            for col, (token, spec) in enumerate(zip(cells[1:], criteria), start=2):
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    if not token:
+                        raise ParseError(line, col, "empty cell") from None
+                    try:
+                        values.append(likert_map.score(token, spec.likert_reverse))
+                    except UnknownGrade:
+                        raise UnknownGrade(token, line=line, col=col) from None
+            alternatives.append(label)
+            grid.append(values)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, 1, str(exc)) from None
+    if criteria is None:
+        raise ParseError(1, 1, "empty document")
+    return validate_matrix(grid, alternatives, criteria)
 
 
 def emit_matrix(matrix: DecisionMatrix) -> str:
@@ -251,17 +222,21 @@ def build_report(
             raise ValueError(f"report note {note!r} contains a line break")
     if notes:
         doc["notes"] = list(notes)
-    sources = {} if comparison is None else {"comparison": vars(comparison)}
+    sources = {}
+    ranked = {}  # weights -> ranks, for weights the comparison already ranked
+    if comparison is not None:
+        sources["comparison"] = vars(comparison)
+        ranked = {
+            comparison.weights_a: comparison.ranks_a,
+            comparison.weights_b: comparison.ranks_b,
+        }
     for block, result in (("entropy", entropy), ("dwm", dwm)):
         if result is not None:
             # a method block reads its breakdown, its weight vector's
             # weights, and the ranks of those weights
             weights, breakdown = result
-            sources[block] = {
-                **vars(breakdown),
-                **vars(weights),
-                "ranks": rank_desc(weights.weights),
-            }
+            ranks = ranked.get(weights.weights) or rank_desc(weights.weights)
+            sources[block] = {**vars(breakdown), **vars(weights), "ranks": ranks}
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:
             doc.setdefault(block, {})[key] = _q6(sources[block][key])

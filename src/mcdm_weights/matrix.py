@@ -45,11 +45,15 @@ class CriterionSpec:
 class LikertMap:
     """Ordered verbal-grade scale with strictly increasing positive scores.
 
-    Reverse coding reflects a score about the scale midpoint:
-    ``reversed = (max + min) - score``.
+    Grades match case- and whitespace-insensitively. Reverse coding reflects
+    a score about the scale midpoint: ``reversed = (max + min) - score``.
     """
 
     grades: tuple[tuple[str, float], ...]
+    #: normalized label -> (score, reverse-coded score)
+    _scores: dict[str, tuple[float, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
@@ -62,8 +66,11 @@ class LikertMap:
             raise ValueError("Likert scores must be positive")
         if any(b <= a for a, b in zip(scores, scores[1:])):
             raise ValueError("Likert scores must be strictly increasing")
-        keys = [self._key(g) for g, _ in self.grades]
-        if len(set(keys)) != len(keys):
+        span = scores[-1] + scores[0]
+        object.__setattr__(
+            self, "_scores", {self._key(g): (s, span - s) for g, s in self.grades}
+        )
+        if len(self._scores) != len(self.grades):
             raise ValueError("duplicate grade labels")
 
     @staticmethod
@@ -71,18 +78,11 @@ class LikertMap:
         return " ".join(grade.split()).casefold()
 
     def score(self, grade: str, reverse: bool = False) -> float:
-        key = self._key(grade)
-        for label, value in self.grades:
-            if self._key(label) == key:
-                if reverse:
-                    lo, hi = self.grades[0][1], self.grades[-1][1]
-                    return (hi + lo) - value
-                return value
-        raise UnknownGrade(grade)
-
-    def __contains__(self, grade: str) -> bool:
-        key = self._key(grade)
-        return any(self._key(label) == key for label, _ in self.grades)
+        try:
+            forward, reflected = self._scores[self._key(grade)]
+        except KeyError:
+            raise UnknownGrade(grade) from None
+        return reflected if reverse else forward
 
 
 #: Seven-point scale; the unique monotone 1-7 assignment consistent with the

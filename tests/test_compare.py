@@ -21,6 +21,8 @@ from mcdm_weights import (
     validate_matrix,
 )
 
+from mcdm_weights.compare import _fractional_ranks
+
 import golden
 from oracles import oracle_pearson
 from sampling import random_matrices
@@ -176,6 +178,15 @@ class TestSpearman:
             assert spearman(x, y) == pytest.approx(
                 stats.spearmanr(x, y).statistic, abs=1e-12
             )
+
+
+    def test_fractional_ranks_are_exact_average_ranks(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 40):
+            for x in (rng.integers(0, 5, n).astype(float), rng.uniform(-1, 1, n)):
+                np.testing.assert_array_equal(
+                    _fractional_ranks(x), stats.rankdata(-x, method="average")
+                )
 
 
 class TestCompareMethods:

@@ -19,6 +19,7 @@ from mcdm_weights import (
     load_fixture,
     parse_matrix,
     parse_report,
+    rank_desc,
     sha256_digest,
     validate_matrix,
 )
@@ -112,6 +113,13 @@ class TestParseMatrix:
             parse_matrix(text)
         assert (info.value.line, info.value.col) == (3, 3)
 
+    def test_first_fault_in_file_order_is_reported(self):
+        # an unknown grade on line 2 comes before a short row on line 3
+        text = "alternative,a,b\nA1,1,Bananas\nA2,1\n"
+        with pytest.raises(UnknownGrade) as info:
+            parse_matrix(text)
+        assert (info.value.line, info.value.col) == (2, 3)
+
     def test_bad_header_annotation(self):
         with pytest.raises(ParseError):
             parse_matrix("alternative,a:sideways\nA1,1\nA2,2\n")
@@ -171,6 +179,30 @@ class TestReports:
         )
         assert report["entropy"]["ranks"] == list(golden.EXAMPLE1_RANKS)
         assert report["dwm"]["ranks"] == list(golden.EXAMPLE1_RANKS)
+
+    def test_ranks_follow_each_blocks_own_weights(self, example2):
+        entropy = entropy_weights(example2)
+        dwm = dwm_weights(example2)
+        expected = {
+            "entropy": list(rank_desc(entropy[0].weights)),
+            "dwm": list(rank_desc(dwm[0].weights)),
+        }
+        assert expected["entropy"] != expected["dwm"]
+        # a comparison of the swapped pair, and one that never saw the dwm
+        # weights, both leave each block with the ranks of its own weights
+        for comparison in (
+            compare_weights(dwm[0], entropy[0]),
+            compare_weights(entropy[0], entropy[0]),
+        ):
+            report = build_report(
+                example2.criterion_names,
+                "sha256:0",
+                entropy=entropy,
+                dwm=dwm,
+                comparison=comparison,
+            )
+            for block, ranks in expected.items():
+                assert report[block]["ranks"] == ranks
 
     def test_single_method_omits_comparison(self, example1):
         report = build_report(
