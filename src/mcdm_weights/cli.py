@@ -68,47 +68,29 @@ class BenchSummary:
             raise ValueError("pearson summary must satisfy min <= median <= max")
 
 
-@dataclass(frozen=True)
-class _TrialOutcome:
-    entropy_ok: bool
-    dwm_ok: bool
-    pearson: float | None
-    rank1_agree: bool | None
-
-
 def _run_trial(
     seed: int, trial: int, dims: tuple[int, int], value_range: tuple[float, float]
-) -> _TrialOutcome:
+) -> tuple[bool, bool, float | None, bool | None]:
+    """``(entropy_ok, dwm_ok, pearson, rank1_agree)``; the last two need both."""
     # distinct, order-independent stream per trial: parallel == serial
     trial_seed = int(np.random.SeedSequence((seed, trial)).generate_state(1)[0])
     matrix = generate_matrix(trial_seed, dims, value_range)
 
-    weights_entropy = None
-    weights_dwm = None
-    try:
-        weights_entropy, _ = entropy_weights(matrix)
-    except MethodError:
-        pass
-    try:
-        weights_dwm, _ = dwm_weights(matrix)
-    except MethodError:
-        pass
-
-    if weights_entropy is None or weights_dwm is None:
-        return _TrialOutcome(
-            entropy_ok=weights_entropy is not None,
-            dwm_ok=weights_dwm is not None,
-            pearson=None,
-            rank1_agree=None,
-        )
+    weights = []
+    for method in (entropy_weights, dwm_weights):
+        try:
+            weights.append(method(matrix)[0].weights)
+        except MethodError:
+            weights.append(None)
+    if None in weights:
+        return weights[0] is not None, weights[1] is not None, None, None
 
     try:
-        r = pearson(weights_entropy.weights, weights_dwm.weights)
+        r = pearson(*weights)
     except (ConstantVector, LengthMismatch):
         r = None
     # argmax takes the first maximum: rank_desc's lower-index tie break
-    agree = bool(np.argmax(weights_entropy.weights) == np.argmax(weights_dwm.weights))
-    return _TrialOutcome(entropy_ok=True, dwm_ok=True, pearson=r, rank1_agree=agree)
+    return True, True, r, bool(np.argmax(weights[0]) == np.argmax(weights[1]))
 
 
 def run_benchmark(
@@ -120,22 +102,26 @@ def run_benchmark(
 ) -> BenchSummary:
     """Monte Carlo method-agreement benchmark over seeded random matrices.
 
-    Trial results are aggregated in trial-index order, so any worker count
-    yields an identical summary.
+    The trials run in contiguous chunks, one per worker thread, and are
+    aggregated in trial-index order, so any worker count yields an
+    identical summary.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda t: _run_trial(seed, t, dims, value_range), range(trials)
-                )
-            )
-    else:
-        outcomes = [_run_trial(seed, t, dims, value_range) for t in range(trials)]
+    # the pool needs one worker even when a library caller asks for 0 trials
+    n_chunks = max(1, min(workers, trials))
+    chunks = [
+        range(trials * i // n_chunks, trials * (i + 1) // n_chunks)
+        for i in range(n_chunks)
+    ]
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        results = pool.map(
+            lambda chunk: [_run_trial(seed, t, dims, value_range) for t in chunk],
+            chunks,
+        )
+        outcomes = [outcome for chunk in results for outcome in chunk]
 
-    compared = [o for o in outcomes if o.entropy_ok and o.dwm_ok]
-    pearsons = [o.pearson for o in compared if o.pearson is not None]
-    agreements = sum(1 for o in compared if o.rank1_agree)
+    compared = [(r, agree) for e_ok, d_ok, r, agree in outcomes if e_ok and d_ok]
+    pearsons = [r for r, _ in compared if r is not None]
+    agreements = sum(agree for _, agree in compared)
 
     def q6(value: float) -> float:
         return round(value, 6)
@@ -146,9 +132,9 @@ def run_benchmark(
         dims=dims,
         value_range=value_range,
         compared_trials=len(compared),
-        entropy_failures=sum(1 for o in outcomes if not o.entropy_ok),
-        dwm_failures=sum(1 for o in outcomes if not o.dwm_ok),
-        dwm_only_trials=sum(1 for o in outcomes if o.dwm_ok and not o.entropy_ok),
+        entropy_failures=sum(not e_ok for e_ok, _, _, _ in outcomes),
+        dwm_failures=sum(not d_ok for _, d_ok, _, _ in outcomes),
+        dwm_only_trials=sum(d_ok and not e_ok for e_ok, d_ok, _, _ in outcomes),
         pearson_min=q6(min(pearsons)) if pearsons else None,
         pearson_max=q6(max(pearsons)) if pearsons else None,
         pearson_mean=q6(sum(pearsons) / len(pearsons)) if pearsons else None,
@@ -179,7 +165,7 @@ def emit_bench(summary: BenchSummary) -> str:
         }
     if summary.rank1_agreement_rate is not None:
         doc["rank1_agreement_rate"] = summary.rank1_agreement_rate
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- commands

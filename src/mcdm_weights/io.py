@@ -246,7 +246,7 @@ def build_report(
 def emit_report(report: ReportDocument, format: str = "json") -> str:
     """Serialize a report; absent blocks are omitted, never null-filled."""
     if format == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     if format != "csv":
         raise ValueError(f"unknown report format {format!r}")
     # the string fields (schema, tool, input_digest) lead the metadata lines

@@ -164,7 +164,8 @@ class WeightVector:
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         total = float(sum(self.weights))
-        if abs(total - 1.0) > 1e-12:
+        # a NaN or infinite weight makes the total NaN or infinite: refused
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
 
     def __len__(self) -> int:
@@ -208,15 +209,14 @@ def validate_matrix(
     if isinstance(values, np.ndarray):
         if values.ndim != 2:
             raise NonRectangular(f"expected a 2-D grid, got {values.ndim}-D")
-        grid = np.array(values, dtype=np.float64)
     else:
-        rows = [list(row) for row in values]
-        if not rows:
+        widths = {len(row) for row in values}
+        if not widths:
             raise TooFewAlternatives("matrix has no rows")
-        widths = {len(row) for row in rows}
         if len(widths) != 1:
             raise NonRectangular(f"row lengths differ: {sorted(widths)}")
-        grid = np.array(rows, dtype=np.float64)
+    # DecisionMatrix makes the read-only copy; a float64 ndarray is not copied here
+    grid = np.asarray(values, dtype=np.float64)
 
     n_rows, n_cols = grid.shape
     if n_rows < 2:

@@ -1,10 +1,15 @@
 """CLI behavior: commands, exit codes, stream separation, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mcdm_weights import fixture_path
+import mcdm_weights
+from mcdm_weights import cli, fixture_path
 from mcdm_weights.cli import main
 
 import golden
@@ -76,6 +81,31 @@ class TestWeigh:
         assert code == 2
         assert out == ""
         assert err != ""
+
+    @pytest.mark.parametrize("method", ["entropy", "dwm", "both"])
+    def test_overflowing_values_never_print_non_finite_json(self, tmp_path, method):
+        # a fresh interpreter keeps the default warning filter: under an
+        # "error" filter numpy's overflow warning would end the run first
+        path = tmp_path / "huge.csv"
+        path.write_text("alternative,a,b\nA1,1e308,1\nA2,1.5e308,2\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(mcdm_weights.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        script = "import sys; from mcdm_weights.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "weigh", "--input", str(path), "--method", method],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        if proc.returncode != 0:
+            assert proc.stdout == ""
+            return
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(proc.stdout, parse_constant=refuse)
+        for block in ("entropy", "dwm"):
+            for w in doc.get(block, {}).get("weights", ()):
+                assert float("-inf") < w < float("inf")
 
     def test_utf8_bom_is_accepted(self, capsys, tmp_path):
         text = fixture_path("example1.csv").read_text(encoding="utf-8")
@@ -192,6 +222,29 @@ class TestBench:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "bench", "--bogus")
         assert code == 2
+
+    def test_output_does_not_depend_on_chunk_boundaries(self, capsys):
+        base = ("bench", "--trials", "7", "--seed", "3")
+        outs = {w: run(capsys, *base, "--workers", str(w)) for w in (1, 2, 3, 7, 9)}
+        assert all(code == 0 for code, _, _ in outs.values())
+        assert len({out for _, out, _ in outs.values()}) == 1
+
+    def test_pool_never_exceeds_the_trial_count(self, capsys, monkeypatch):
+        asked = []
+
+        class RecordingExecutor(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
+        for workers in (1, 2, 3, 7, 9):
+            code, _, _ = run(
+                capsys, "bench", "--trials", "7", "--seed", "3",
+                "--workers", str(workers),
+            )
+            assert code == 0
+        assert asked == [1, 2, 3, 7, 7]
 
 
 class TestDeterminism:

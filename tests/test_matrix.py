@@ -87,6 +87,17 @@ class TestValidateMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 99.0
 
+    def test_values_do_not_follow_the_callers_grid(self):
+        array = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rows = [[1.0, 2.0], [3.0, 4.0]]
+        from_array = validate_matrix(array)
+        from_rows = validate_matrix(rows)
+        array[0, 0] = 99.0
+        rows[0][0] = 99.0
+        rows[1] = [7.0, 8.0]
+        for m in (from_array, from_rows):
+            np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestLikert:
     def test_forward_scores(self):
@@ -160,6 +171,13 @@ class TestWeightVector:
             WeightVector((0.6, 0.6), "entropy")
         with pytest.raises(ValueError):
             WeightVector((1.2, -0.2), "entropy")
+
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 1.0), (math.inf, 0.0), (0.5, math.nan, 0.5)]
+    )
+    def test_non_finite_weight_rejected(self, weights):
+        with pytest.raises(ValueError):
+            WeightVector(weights, "dwm")
 
     def test_valid_vector(self):
         w = WeightVector((0.25, 0.75), "dwm")
