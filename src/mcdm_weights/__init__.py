@@ -14,7 +14,6 @@ Monte Carlo agreement benchmark behind the ``mcdm-weights`` CLI.
 
 from .compare import (
     ComparisonReport,
-    ScoreVector,
     compare_methods,
     compare_weights,
     pearson,
@@ -28,7 +27,6 @@ from .dispersion import (
 )
 from .entropy import (
     EntropyBreakdown,
-    NormalizedMatrix,
     entropy_weights,
     normalize_columns,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "validate_matrix",
     # entropy method
     "EntropyBreakdown",
-    "NormalizedMatrix",
     "entropy_weights",
     "normalize_columns",
     # dispersion method
@@ -98,7 +95,6 @@ __all__ = [
     "dwm_weights",
     # scoring and comparison
     "ComparisonReport",
-    "ScoreVector",
     "compare_methods",
     "compare_weights",
     "pearson",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -250,6 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench", help="seeded Monte Carlo method-agreement benchmark"
+    )
+    # argparse's own pattern has no exponent, so "--lo -1e308" would read
+    # "-1e308" as an option flag
+    bench._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
     )
     bench.add_argument("--trials", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0)

@@ -13,20 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import dwm_weights
-from .entropy import NormalizedMatrix, entropy_weights
+from .entropy import entropy_weights
 from .errors import ConstantVector, DimensionMismatch, LengthMismatch
 from .matrix import DecisionMatrix, WeightVector
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-alternative aggregate values under one method's weights."""
-
-    scores: tuple[float, ...]
-    method: str
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -57,14 +46,23 @@ class ComparisonReport:
                 raise ValueError("ranks must be a permutation of 1..C")
 
 
-def saw_scores(shares: NormalizedMatrix, weights: WeightVector) -> ScoreVector:
-    """Simple additive weighting: each alternative's weighted share sum."""
-    if len(weights) != shares.n_criteria:
+def saw_scores(shares: np.ndarray, weights: WeightVector) -> np.ndarray:
+    """Simple additive weighting: each alternative's weighted share sum,
+    as a read-only float64 array.
+
+    Raises:
+        DimensionMismatch: ``shares`` is not 2-D or has the wrong width.
+    """
+    shares = np.asarray(shares, dtype=np.float64)
+    if shares.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D share matrix, got {shares.ndim}-D")
+    if len(weights) != shares.shape[1]:
         raise DimensionMismatch(
-            f"{len(weights)} weights for {shares.n_criteria} criteria"
+            f"{len(weights)} weights for {shares.shape[1]} criteria"
         )
-    values = shares.values @ weights.as_array()
-    return ScoreVector(tuple(float(v) for v in values), weights.method)
+    scores = shares @ weights.as_array()
+    scores.flags.writeable = False
+    return scores
 
 
 def rank_desc(values) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsConstant, DegenerateMean
-from .matrix import DecisionMatrix, WeightVector
+from .matrix import DecisionMatrix, WeightVector, _scaled_columns
 
 # CVs at or below this are indistinguishable from a constant column
 _CONSTANT_EPS = 1e-12
@@ -38,15 +38,17 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
     """Weights proportional to each column's coefficient of variation.
 
     Raises:
-        DegenerateMean: a column's mean vanishes at the data's scale.
+        DegenerateMean: a column's |mean| is at most 1e-9 times its largest
+            |value| (a zero column included).
         AllColumnsConstant: every column has zero dispersion.
     """
-    values = matrix.values
-    means = values.mean(axis=0)
-    stds = values.std(axis=0)
-    scales = np.abs(values).max(axis=0)
+    # CV is unit-free, so it is taken on the columns scaled into [-1, 1];
+    # there a mean of 1e-9 is small next to the column's own size
+    scaled, scales = _scaled_columns(matrix.values, DegenerateMean)
+    means = scaled.mean(axis=0)
+    stds = scaled.std(axis=0)
 
-    degenerate = np.flatnonzero(np.abs(means) <= 1e-9 * np.maximum(1.0, scales))
+    degenerate = np.flatnonzero(np.abs(means) <= 1e-9)
     if degenerate.size:
         raise DegenerateMean(int(degenerate[0]))
 
@@ -56,8 +58,8 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
 
     weights = cvs / cvs.sum()
     breakdown = DispersionBreakdown(
-        mean=tuple(float(m) for m in means),
-        std=tuple(float(s) for s in stds),
+        mean=tuple(float(m) for m in means * scales),
+        std=tuple(float(s) for s in stds * scales),
         cv=tuple(float(c) for c in cvs),
     )
     return WeightVector(tuple(float(w) for w in weights), "dwm"), breakdown

@@ -13,41 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsUniform, NegativeEntry, ZeroColumn
-from .matrix import DecisionMatrix, WeightVector
+from .matrix import DecisionMatrix, WeightVector, _scaled_columns
 
 # divergences at or below this are indistinguishable from a uniform column
 _UNIFORM_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """Column-stochastic share matrix: each column sums to 1."""
-
-    values: np.ndarray
-    criterion_names: tuple[str, ...]
-
-    def __post_init__(self):
-        frozen = np.array(self.values, dtype=np.float64, copy=True)
-        if frozen.ndim != 2 or frozen.shape[1] != len(self.criterion_names):
-            raise ValueError("shape does not match criterion names")
-        if (frozen < -1e-12).any() or (frozen > 1.0 + 1e-12).any():
-            raise ValueError("shares must lie in [0, 1]")
-        sums = frozen.sum(axis=0)
-        if (np.abs(sums - 1.0) > 1e-12).any():
-            raise ValueError("each column must sum to 1")
-        frozen.flags.writeable = False
-        object.__setattr__(self, "values", frozen)
-
-    @property
-    def n_alternatives(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n_criteria(self) -> int:
-        return int(self.values.shape[1])
-
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
 
 
 @dataclass(frozen=True)
@@ -66,8 +35,8 @@ class EntropyBreakdown:
                 raise ValueError("divergence must equal 1 - entropy")
 
 
-def normalize_columns(matrix: DecisionMatrix) -> NormalizedMatrix:
-    """Divide every entry by its column total.
+def normalize_columns(matrix: DecisionMatrix) -> np.ndarray:
+    """Divide every entry by its column total; a read-only float64 array.
 
     The entropy path rejects negative data outright rather than shifting it:
     ln fails on negatives and silently repairing that would misrepresent the
@@ -82,11 +51,10 @@ def normalize_columns(matrix: DecisionMatrix) -> NormalizedMatrix:
     if neg.size:
         row, col = (int(v) for v in neg[0])
         raise NegativeEntry(row, col)
-    sums = values.sum(axis=0)
-    zero = np.flatnonzero(sums == 0.0)
-    if zero.size:
-        raise ZeroColumn(int(zero[0]))
-    return NormalizedMatrix(values / sums, matrix.criterion_names)
+    scaled, _ = _scaled_columns(values, ZeroColumn)
+    shares = scaled / scaled.sum(axis=0)
+    shares.flags.writeable = False
+    return shares
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -105,7 +73,7 @@ def entropy_weights(matrix: DecisionMatrix) -> tuple[WeightVector, EntropyBreakd
     """
     shares = normalize_columns(matrix)
     k = 1.0 / np.log(matrix.n_alternatives)
-    entropies = -k * _plogp(shares.values).sum(axis=0)
+    entropies = -k * _plogp(shares).sum(axis=0)
     divergences = 1.0 - entropies
 
     # rounding can leave a uniform column a few ulp off d = 0, either side;

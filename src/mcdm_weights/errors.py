@@ -104,7 +104,7 @@ class AllColumnsUniform(MethodError):
 
 
 class DegenerateMean(MethodError):
-    """Column mean is zero at the data's scale; CV is meaningless."""
+    """Column |mean| is at most 1e-9 of its largest |value|; CV is meaningless."""
 
     def __init__(self, col: int | None = None):
         self.col = col

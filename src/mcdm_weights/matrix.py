@@ -6,6 +6,7 @@ criterion. All downstream operations treat it as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -178,6 +179,23 @@ class WeightVector:
         return np.asarray(self.weights, dtype=np.float64)
 
 
+def _scaled_columns(
+    values: np.ndarray, zero_column: type[Exception]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each column divided by its largest |value|, and those largest values.
+
+    Shares and CVs do not depend on a column's unit, and sums of entries in
+    [-1, 1] cannot overflow (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 4). The first zero column ``j`` raises
+    ``zero_column(j)`` before any division.
+    """
+    scales = np.abs(values).max(axis=0)
+    zero = np.flatnonzero(scales == 0.0)
+    if zero.size:
+        raise zero_column(int(zero[0]))
+    return values / scales, scales
+
+
 def _coerce_criteria(
     criteria: Sequence[CriterionSpec | str] | None, n_cols: int
 ) -> tuple[CriterionSpec, ...]:
@@ -265,8 +283,9 @@ def generate_matrix(
     lo, hi = value_range
     if n_rows < 2 or n_cols < 1:
         raise BadDims(f"dims must be at least 2x1, got {n_rows}x{n_cols}")
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise BadRange(f"need lo < hi, got [{lo}, {hi}]")
+    # an infinite bound, or a width past the float range, leaves hi - lo infinite
+    if not lo < hi or not math.isfinite(float(hi) - float(lo)):
+        raise BadRange(f"need lo < hi with a finite hi - lo, got [{lo}, {hi}]")
 
     rng = np.random.default_rng(seed)
     grid = rng.uniform(lo, hi, size=(n_rows, n_cols))

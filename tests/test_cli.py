@@ -31,6 +31,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter with the default warning filter.
+
+    Under the suite's "error" warning filter a numpy overflow warning would
+    end an in-process run before the code under test could fail on its own.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(mcdm_weights.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    script = "import sys; from mcdm_weights.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestWeigh:
     def test_dwm_matches_published_table(self, capsys):
         code, out, err = run(
@@ -106,6 +128,25 @@ class TestWeigh:
         for block in ("entropy", "dwm"):
             for w in doc.get(block, {}).get("weights", ()):
                 assert float("-inf") < w < float("inf")
+
+    @pytest.mark.parametrize("method", ["entropy", "dwm", "both"])
+    def test_values_near_the_float_limit_get_finite_weights(
+        self, capsys, tmp_path, method
+    ):
+        # the same file with column a divided by 1e308 must weigh the same
+        huge, small = tmp_path / "huge.csv", tmp_path / "small.csv"
+        huge.write_text("alternative,a,b\nA1,1e308,1\nA2,1.5e308,2\n", encoding="utf-8")
+        small.write_text("alternative,a,b\nA1,1,1\nA2,1.5,2\n", encoding="utf-8")
+        proc = run_fresh("weigh", "--input", str(huge), "--method", method)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = strict_json(proc.stdout)
+        _, out, _ = run(capsys, "weigh", "--input", str(small), "--method", method)
+        expected = json.loads(out)
+        for block in ("entropy", "dwm"):
+            if block in expected:
+                assert doc[block]["weights"] == expected[block]["weights"]
+        if "dwm" in expected:
+            assert doc["dwm"]["mean"][0] == pytest.approx(1.25e308, rel=1e-12)
 
     def test_utf8_bom_is_accepted(self, capsys, tmp_path):
         text = fixture_path("example1.csv").read_text(encoding="utf-8")
@@ -218,6 +259,33 @@ class TestBench:
         assert code == 2
         code, _, _ = run(capsys, "bench", "--rows", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [("--seed", "-1"), ("--workers", "0")])
+    def test_negative_seed_or_no_workers_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "bench", "--trials", "2", *flag)
+        assert (code, out) == (2, "")
+        assert "InputError" in err
+
+    def test_range_wider_than_floats_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--trials", "2", "--lo=-1e308", "--hi=1e308"
+        )
+        assert (code, out) == (2, "")
+        assert "BadRange" in err
+
+    def test_negative_values_in_exponent_notation_parse(self, capsys):
+        # argparse's own negative-number pattern has no exponent; the bench
+        # parser replaces that private pattern, and this pins the fix
+        code, out, err = run(
+            capsys, "bench", "--trials", "2", "--lo", "-1e308", "--hi", "-1e307"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["range"] == [-1e308, -1e307]
+
+    def test_values_near_the_float_limit_are_compared(self):
+        proc = run_fresh("bench", "--trials", "3", "--lo", "1e307", "--hi", "1.7e308")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert strict_json(proc.stdout)["compared_trials"] == 3
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "bench", "--bogus")

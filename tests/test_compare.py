@@ -32,27 +32,27 @@ class TestSawScores:
     def test_forced_arithmetic(self):
         shares = normalize_columns(validate_matrix([[0.6, 0.2], [0.4, 0.8]]))
         scores = saw_scores(shares, WeightVector((0.5, 0.5), "manual"))
-        np.testing.assert_allclose(scores.scores, (0.4, 0.6), atol=1e-15)
+        np.testing.assert_allclose(scores, (0.4, 0.6), atol=1e-15)
 
     def test_one_hot_weights_pick_a_column(self, example1):
         shares = normalize_columns(example1)
         scores = saw_scores(shares, WeightVector((0.0, 0.0, 0.0, 1.0, 0.0), "manual"))
-        np.testing.assert_allclose(scores.scores, shares.column(3), atol=1e-15)
+        np.testing.assert_allclose(scores, shares[:, 3], atol=1e-15)
 
     def test_example1_scores_match_oracle(self, example1):
         # frozen from the brute-force dot products; A3 must come out on top
         shares = normalize_columns(example1)
         weights, _ = entropy_weights(example1)
         scores = saw_scores(shares, weights)
-        np.testing.assert_allclose(scores.scores, golden.EXAMPLE1_SAW_ENTROPY, atol=1e-12)
-        assert int(np.argmax(scores.scores)) == golden.EXAMPLE1_TOP_ALTERNATIVE
+        np.testing.assert_allclose(scores, golden.EXAMPLE1_SAW_ENTROPY, atol=1e-12)
+        assert int(np.argmax(scores)) == golden.EXAMPLE1_TOP_ALTERNATIVE
 
     def test_example1_dwm_scores_match_oracle(self, example1):
         shares = normalize_columns(example1)
         weights, _ = dwm_weights(example1)
         scores = saw_scores(shares, weights)
-        np.testing.assert_allclose(scores.scores, golden.EXAMPLE1_SAW_DWM, atol=1e-12)
-        assert int(np.argmax(scores.scores)) == golden.EXAMPLE1_TOP_ALTERNATIVE
+        np.testing.assert_allclose(scores, golden.EXAMPLE1_SAW_DWM, atol=1e-12)
+        assert int(np.argmax(scores)) == golden.EXAMPLE1_TOP_ALTERNATIVE
 
     def test_dimension_mismatch(self, example1):
         shares = normalize_columns(example1)
@@ -67,9 +67,9 @@ class TestSawScores:
         blended = WeightVector(
             tuple(alpha * a + (1 - alpha) * b for a, b in zip(w1, w2)), "blend"
         )
-        lhs = saw_scores(shares, blended).scores
-        s1 = saw_scores(shares, w1).scores
-        s2 = saw_scores(shares, w2).scores
+        lhs = saw_scores(shares, blended)
+        s1 = saw_scores(shares, w1)
+        s2 = saw_scores(shares, w2)
         rhs = [alpha * a + (1 - alpha) * b for a, b in zip(s1, s2)]
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 

@@ -104,6 +104,23 @@ class TestDwmWeights:
             dwm_weights(m)
         assert info.value.col == 1
 
+    def test_zero_column_rejected_before_division(self):
+        # a 0/0 would warn, and the suite turns warnings into errors
+        m = validate_matrix([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(DegenerateMean) as info:
+            dwm_weights(m)
+        assert info.value.col == 1
+
+    def test_tiny_column_weighs_like_its_unit_scaled_copy(self):
+        # the degeneracy test is relative to each column's largest |value|
+        grid = np.array([[1.0, 3.0], [2.0, 4.0], [4.0, 1.0]])
+        tiny = grid.copy()
+        tiny[:, 0] *= 1e-12
+        base, _ = dwm_weights(validate_matrix(grid))
+        weights, breakdown = dwm_weights(validate_matrix(tiny))
+        np.testing.assert_allclose(weights.weights, base.weights, rtol=0, atol=1e-12)
+        assert breakdown.mean[0] == pytest.approx(7e-12 / 3, rel=1e-12)
+
     def test_all_negative_matrix_is_fine(self):
         m = validate_matrix([[-10.0, -1.0], [-20.0, -2.0], [-30.0, -4.0]])
         weights, breakdown = dwm_weights(m)

@@ -21,26 +21,26 @@ class TestNormalizeColumns:
     def test_example1_shares_match_published(self, example1):
         shares = normalize_columns(example1)
         np.testing.assert_allclose(
-            shares.values, np.array(golden.EXAMPLE1_NORMALIZED), atol=5e-5
+            shares, np.array(golden.EXAMPLE1_NORMALIZED), atol=5e-5
         )
 
     def test_income_column(self, example1):
         np.testing.assert_allclose(
-            normalize_columns(example1).column(0),
+            normalize_columns(example1)[:, 0],
             [0.1948, 0.1558, 0.2597, 0.3896],
             atol=5e-5,
         )
 
     def test_security_column(self, example1):
         np.testing.assert_allclose(
-            normalize_columns(example1).column(4),
+            normalize_columns(example1)[:, 4],
             [0.1538, 0.0769, 0.3077, 0.4615],
             atol=5e-5,
         )
 
     def test_equal_pair_splits_evenly(self):
         m = validate_matrix([[5.0, 1.0], [5.0, 3.0]])
-        np.testing.assert_array_equal(normalize_columns(m).column(0), [0.5, 0.5])
+        np.testing.assert_array_equal(normalize_columns(m)[:, 0], [0.5, 0.5])
 
     def test_negative_entry_located(self):
         m = validate_matrix([[1.0, 2.0], [3.0, -4.0]])
@@ -55,7 +55,7 @@ class TestNormalizeColumns:
         assert info.value.col == 1
 
     def test_columns_sum_to_one(self, example2):
-        sums = normalize_columns(example2).values.sum(axis=0)
+        sums = normalize_columns(example2).sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 

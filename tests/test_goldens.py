@@ -18,6 +18,7 @@ from mcdm_weights import (
     emit_report,
     entropy_weights,
     load_fixture,
+    parse_report,
     sha256_digest,
 )
 from mcdm_weights.cli import main
@@ -81,3 +82,9 @@ def test_report_with_notes_matches_golden(fmt):
         notes=NOTES,
     )
     assert emit_report(report, fmt).encode("utf-8") == golden(f"notes-example1.{fmt}")
+
+
+def test_noted_csv_report_parses_like_its_json():
+    parsed = parse_report(golden("notes-example1.csv").decode("utf-8"), "csv")
+    assert parsed["notes"] == list(NOTES)
+    assert parsed == parse_report(golden("notes-example1.json").decode("utf-8"))

@@ -164,6 +164,11 @@ class TestGenerateMatrix:
         with pytest.raises(BadRange):
             generate_matrix(0, (4, 5), (5.0, 1.0))
 
+    def test_range_wider_than_floats_rejected(self):
+        # both bounds are finite, but hi - lo is not
+        with pytest.raises(BadRange):
+            generate_matrix(0, (4, 5), (-1e308, 1e308))
+
 
 class TestWeightVector:
     def test_simplex_enforced(self):
