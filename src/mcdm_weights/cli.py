@@ -83,15 +83,16 @@ def _run_trial(
             weights.append(method(matrix)[0].weights)
         except MethodError:
             weights.append(None)
-    if None in weights:
-        return weights[0] is not None, weights[1] is not None, None, None
+    we, wd = weights
+    if we is None or wd is None:
+        return we is not None, wd is not None, None, None
 
     try:
-        r = pearson(*weights)
+        r = pearson(we, wd)
     except (ConstantVector, LengthMismatch):
         r = None
     # argmax takes the first maximum: rank_desc's lower-index tie break
-    return True, True, r, bool(np.argmax(weights[0]) == np.argmax(weights[1]))
+    return True, True, r, bool(np.argmax(we) == np.argmax(wd))
 
 
 def run_benchmark(

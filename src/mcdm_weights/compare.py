@@ -22,14 +22,11 @@ from .matrix import DecisionMatrix, WeightVector
 class ComparisonReport:
     """Side-by-side statistics for two weight vectors.
 
+    Holds ranks and statistics only; the caller keeps the weight vectors.
     ``pearson`` and ``spearman`` are None when either weight vector is
     constant, which leaves the correlation undefined.
     """
 
-    method_a: str
-    method_b: str
-    weights_a: tuple[float, ...]
-    weights_b: tuple[float, ...]
     ranks_a: tuple[int, ...]
     ranks_b: tuple[int, ...]
     pearson: float | None
@@ -40,7 +37,7 @@ class ComparisonReport:
         for r in (self.pearson, self.spearman):
             if r is not None and abs(r) > 1.0 + 1e-12:
                 raise ValueError(f"correlation {r!r} outside [-1, 1]")
-        n = len(self.weights_a)
+        n = len(self.ranks_a)
         for ranks in (self.ranks_a, self.ranks_b):
             if sorted(ranks) != list(range(1, n + 1)):
                 raise ValueError("ranks must be a permutation of 1..C")
@@ -60,7 +57,7 @@ def saw_scores(shares: np.ndarray, weights: WeightVector) -> np.ndarray:
         raise DimensionMismatch(
             f"{len(weights)} weights for {shares.shape[1]} criteria"
         )
-    scores = shares @ weights.as_array()
+    scores = shares @ weights.weights
     scores.flags.writeable = False
     return scores
 
@@ -68,14 +65,12 @@ def saw_scores(shares: np.ndarray, weights: WeightVector) -> np.ndarray:
 def rank_desc(values) -> tuple[int, ...]:
     """Rank positions with 1 for the largest value; ties break toward the
     lower index so output is always a strict permutation."""
-    seq = [float(v) for v in values]
-    if not seq:
+    v = np.asarray(values, dtype=np.float64)
+    if not v.size:
         raise ValueError("cannot rank an empty vector")
-    order = sorted(range(len(seq)), key=lambda i: (-seq[i], i))
-    ranks = [0] * len(seq)
-    for position, idx in enumerate(order):
-        ranks[idx] = position + 1
-    return tuple(ranks)
+    ranks = np.empty(v.size, dtype=np.int64)
+    ranks[np.argsort(-v, kind="stable")] = np.arange(1, v.size + 1)
+    return tuple(ranks.tolist())
 
 
 def pearson(x, y) -> float:
@@ -136,10 +131,6 @@ def compare_weights(a: WeightVector, b: WeightVector) -> ComparisonReport:
         rho = None
     agreements = sum(ra == rb for ra, rb in zip(ranks_a, ranks_b))
     return ComparisonReport(
-        method_a=a.method,
-        method_b=b.method,
-        weights_a=a.weights,
-        weights_b=b.weights,
         ranks_a=ranks_a,
         ranks_b=ranks_b,
         pearson=r,

@@ -13,24 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsConstant, DegenerateMean
-from .matrix import DecisionMatrix, WeightVector, _scaled_columns
+from .matrix import DecisionMatrix, WeightVector, _readonly, _scaled_columns
 
 # CVs at or below this are indistinguishable from a constant column
 _CONSTANT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionBreakdown:
-    """Per-criterion mean, population standard deviation, and CV."""
+    """Per-criterion mean, population standard deviation, and CV, each a
+    read-only float64 copy of the values passed in."""
 
-    mean: tuple[float, ...]
-    std: tuple[float, ...]
-    cv: tuple[float, ...]
+    mean: np.ndarray
+    std: np.ndarray
+    cv: np.ndarray
 
     def __post_init__(self):
-        if any(s < 0 for s in self.std):
+        for name in ("mean", "std", "cv"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        if (self.std < 0).any():
             raise ValueError("standard deviations must be nonnegative")
-        if any(c < 0 for c in self.cv):
+        if (self.cv < 0).any():
             raise ValueError("coefficients of variation must be nonnegative")
 
 
@@ -56,10 +59,5 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
     if (cvs <= _CONSTANT_EPS).all():
         raise AllColumnsConstant("every column is constant; no dispersion to weight")
 
-    weights = cvs / cvs.sum()
-    breakdown = DispersionBreakdown(
-        mean=tuple(float(m) for m in means * scales),
-        std=tuple(float(s) for s in stds * scales),
-        cv=tuple(float(c) for c in cvs),
-    )
-    return WeightVector(tuple(float(w) for w in weights), "dwm"), breakdown
+    breakdown = DispersionBreakdown(means * scales, stds * scales, cvs)
+    return WeightVector(cvs / cvs.sum(), "dwm"), breakdown

@@ -13,26 +13,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsUniform, NegativeEntry, ZeroColumn
-from .matrix import DecisionMatrix, WeightVector, _scaled_columns
+from .matrix import DecisionMatrix, WeightVector, _readonly, _scaled_columns
 
 # divergences at or below this are indistinguishable from a uniform column
 _UNIFORM_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropyBreakdown:
-    """Per-criterion entropy and divergence plus the scaling constant k."""
+    """Per-criterion entropy and divergence plus the scaling constant k.
 
-    entropy: tuple[float, ...]
-    divergence: tuple[float, ...]
+    ``entropy`` and ``divergence`` are read-only float64 copies of the
+    values passed in.
+    """
+
+    entropy: np.ndarray
+    divergence: np.ndarray
     k: float
 
     def __post_init__(self):
-        for e, d in zip(self.entropy, self.divergence):
-            if not -1e-12 <= e <= 1.0 + 1e-12:
-                raise ValueError(f"entropy {e!r} outside [0, 1]")
-            if d != 1.0 - e:
-                raise ValueError("divergence must equal 1 - entropy")
+        for name in ("entropy", "divergence"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        e = self.entropy
+        bad = e[~((-1e-12 <= e) & (e <= 1.0 + 1e-12))]
+        if bad.size:
+            raise ValueError(f"entropy {float(bad[0])!r} outside [0, 1]")
+        if (self.divergence != 1.0 - e).any():
+            raise ValueError("divergence must equal 1 - entropy")
 
 
 def normalize_columns(matrix: DecisionMatrix) -> np.ndarray:
@@ -82,10 +89,5 @@ def entropy_weights(matrix: DecisionMatrix) -> tuple[WeightVector, EntropyBreakd
     if (divergences <= _UNIFORM_EPS).all():
         raise AllColumnsUniform("every column is uniform; no divergence to weight")
 
-    weights = usable / usable.sum()
-    breakdown = EntropyBreakdown(
-        entropy=tuple(float(e) for e in entropies),
-        divergence=tuple(float(d) for d in divergences),
-        k=float(k),
-    )
-    return WeightVector(tuple(float(w) for w in weights), "entropy"), breakdown
+    breakdown = EntropyBreakdown(entropies, divergences, float(k))
+    return WeightVector(usable / usable.sum(), "entropy"), breakdown

@@ -20,6 +20,8 @@ import os
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
+
 from .compare import ComparisonReport, rank_desc
 from .dispersion import DispersionBreakdown
 from .entropy import EntropyBreakdown
@@ -176,9 +178,11 @@ REPORT_FIELDS = (
 def _q6(value):
     if isinstance(value, float):
         return round(value, 6)
+    if isinstance(value, np.ndarray):
+        return [round(v, 6) for v in value.tolist()]
     if isinstance(value, tuple):
-        return [_q6(v) for v in value]
-    return value  # ranks and counts are ints; None marks "not applicable"
+        return list(value)  # ranks are ints
+    return value  # counts are ints; None marks "not applicable"
 
 
 def _cell(value) -> str:
@@ -223,19 +227,14 @@ def build_report(
     if notes:
         doc["notes"] = list(notes)
     sources = {}
-    ranked = {}  # weights -> ranks, for weights the comparison already ranked
     if comparison is not None:
         sources["comparison"] = vars(comparison)
-        ranked = {
-            comparison.weights_a: comparison.ranks_a,
-            comparison.weights_b: comparison.ranks_b,
-        }
     for block, result in (("entropy", entropy), ("dwm", dwm)):
         if result is not None:
             # a method block reads its breakdown, its weight vector's
             # weights, and the ranks of those weights
             weights, breakdown = result
-            ranks = ranked.get(weights.weights) or rank_desc(weights.weights)
+            ranks = rank_desc(weights.weights)
             sources[block] = {**vars(breakdown), **vars(weights), "ranks": ranks}
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:
@@ -281,7 +280,7 @@ def parse_report(text: str, format: str = "json") -> ReportDocument:
         raise ValueError(f"unknown report format {format!r}")
     lines = text.split("\n")
     n_meta = 0
-    while lines[n_meta].startswith("# "):
+    while n_meta < len(lines) and lines[n_meta].startswith("# "):
         n_meta += 1
     meta: dict[str, str] = {}
     notes: list[str] = []
@@ -291,7 +290,10 @@ def parse_report(text: str, format: str = "json") -> ReportDocument:
             notes.append(value)
         else:
             meta[key] = value
-    header, *rows = csv.reader(StringIO("\n".join(lines[n_meta:])))
+    table = list(csv.reader(StringIO("\n".join(lines[n_meta:]))))
+    if not table:
+        raise ValueError("csv report has no table header")
+    header, *rows = table
     index = {name: pos for pos, name in enumerate(header)}
 
     names = {name for _, _, name, _ in REPORT_FIELDS}

@@ -112,6 +112,13 @@ def apply_likert(
     return likert_map.score(grade, reverse=reverse)
 
 
+def _readonly(values) -> np.ndarray:
+    """A float64 copy of ``values`` that cannot be written to."""
+    frozen = np.array(values, dtype=np.float64, copy=True)
+    frozen.flags.writeable = False
+    return frozen
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
     """Validated alternatives x criteria value grid.
@@ -125,9 +132,7 @@ class DecisionMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        frozen = np.array(self.values, dtype=np.float64, copy=True)
-        frozen.flags.writeable = False
-        object.__setattr__(self, "values", frozen)
+        object.__setattr__(self, "values", _readonly(self.values))
 
     @property
     def n_alternatives(self) -> int:
@@ -141,9 +146,6 @@ class DecisionMatrix:
     def criterion_names(self) -> tuple[str, ...]:
         return tuple(spec.name for spec in self.criteria)
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecisionMatrix):
             return NotImplemented
@@ -154,17 +156,21 @@ class DecisionMatrix:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Per-criterion weights on the simplex, tagged with their method."""
+    """Per-criterion weights on the simplex, tagged with their method.
 
-    weights: tuple[float, ...]
+    ``weights`` is a read-only float64 copy of the values passed in.
+    """
+
+    weights: np.ndarray
     method: str
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+        object.__setattr__(self, "weights", _readonly(self.weights))
+        if (self.weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        total = float(sum(self.weights))
+        total = float(self.weights.sum())
         # a NaN or infinite weight makes the total NaN or infinite: refused
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
@@ -174,9 +180,6 @@ class WeightVector:
 
     def __iter__(self):
         return iter(self.weights)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
 
 
 def _scaled_columns(

@@ -24,7 +24,7 @@ from mcdm_weights import (
 from mcdm_weights.compare import _fractional_ranks
 
 import golden
-from oracles import oracle_pearson
+from oracles import oracle_pearson, oracle_rank_desc
 from sampling import random_matrices
 
 
@@ -108,6 +108,18 @@ class TestRankDesc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_desc([])
+
+    def test_matches_oracle_with_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(17)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.25, 1e-300, -1e-300, 1e300])
+        for trial in range(3000):
+            n = int(rng.integers(1, 40))
+            if trial % 3 == 0:
+                values = rng.uniform(-1, 1, n)
+            else:
+                # few distinct values, so most vectors hold ties
+                values = rng.choice(pool[: int(rng.integers(2, pool.size + 1))], n)
+            assert rank_desc(values) == tuple(oracle_rank_desc(values.tolist()))
 
 
 class TestPearson:
@@ -196,8 +208,6 @@ class TestCompareMethods:
         assert report.ranks_b == golden.EXAMPLE1_RANKS
         assert report.rank_agreements == 5
         assert report.spearman == pytest.approx(1.0, abs=1e-12)
-        assert report.method_a == "entropy"
-        assert report.method_b == "dwm"
 
     def test_example2_statistics(self, example2):
         report = compare_methods(example2)
@@ -216,8 +226,9 @@ class TestCompareMethods:
         # both methods emit (0.5, 0.5); correlation is undefined, not an error
         m = validate_matrix([[1.0, 2.0], [3.0, 6.0]])
         report = compare_methods(m)
-        assert report.weights_a == pytest.approx((0.5, 0.5), abs=1e-12)
-        assert report.weights_b == pytest.approx((0.5, 0.5), abs=1e-12)
+        for method in (entropy_weights, dwm_weights):
+            weights, _ = method(m)
+            np.testing.assert_allclose(weights.weights, (0.5, 0.5), atol=1e-12)
         assert report.pearson is None
         assert report.spearman is None
         assert report.rank_agreements == 2
@@ -236,5 +247,8 @@ class TestCompareMethods:
             report = compare_methods(m)
             we, _ = entropy_weights(m)
             wd, _ = dwm_weights(m)
-            assert report.weights_a == we.weights
-            assert report.weights_b == wd.weights
+            assert report.ranks_a == rank_desc(we.weights)
+            assert report.ranks_b == rank_desc(wd.weights)
+            # one criterion leaves the correlation undefined
+            expected_r = pearson(we.weights, wd.weights) if len(we) > 1 else None
+            assert report.pearson == expected_r

@@ -6,6 +6,7 @@ import pytest
 from mcdm_weights import (
     AllColumnsConstant,
     DegenerateMean,
+    DispersionBreakdown,
     TooFewAlternatives,
     dwm_weights,
     validate_matrix,
@@ -92,6 +93,21 @@ class TestDwmWeights:
         weights, _ = dwm_weights(example2)
         expected = [golden.EXAMPLE2_DWM_W[c] for c in golden.EXAMPLE2_CODES]
         np.testing.assert_allclose(weights.weights, expected, atol=2e-3)
+
+    def test_results_are_read_only_float64_arrays(self, example1):
+        weights, breakdown = dwm_weights(example1)
+        for field in (weights.weights, breakdown.mean, breakdown.std, breakdown.cv):
+            assert field.dtype == np.float64
+            assert not field.flags.writeable
+
+    def test_breakdown_does_not_follow_the_callers_arrays(self):
+        mean, std, cv = np.array([[2.0, 4.0], [1.0, 1.0], [0.5, 0.25]])
+        breakdown = DispersionBreakdown(mean, std, cv)
+        for source in (mean, std, cv):
+            source[:] = 9.0
+        assert breakdown.mean.tolist() == [2.0, 4.0]
+        assert breakdown.std.tolist() == [1.0, 1.0]
+        assert breakdown.cv.tolist() == [0.5, 0.25]
 
     def test_all_constant_rejected(self):
         m = validate_matrix([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])

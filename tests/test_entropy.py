@@ -5,6 +5,7 @@ import pytest
 
 from mcdm_weights import (
     AllColumnsUniform,
+    EntropyBreakdown,
     NegativeEntry,
     ZeroColumn,
     entropy_weights,
@@ -103,6 +104,21 @@ class TestEntropyWeights:
         _, breakdown = entropy_weights(example2)
         for e, d in zip(breakdown.entropy, breakdown.divergence):
             assert d == 1.0 - e
+
+    def test_results_are_read_only_float64_arrays(self, example1):
+        weights, breakdown = entropy_weights(example1)
+        for field in (weights.weights, breakdown.entropy, breakdown.divergence):
+            assert field.dtype == np.float64
+            assert not field.flags.writeable
+
+    def test_breakdown_does_not_follow_the_callers_arrays(self):
+        entropy = np.array([0.25, 0.5])
+        divergence = 1.0 - entropy
+        breakdown = EntropyBreakdown(entropy, divergence, 1.0)
+        entropy[0] = 0.75
+        divergence[0] = 0.25
+        assert breakdown.entropy.tolist() == [0.25, 0.5]
+        assert breakdown.divergence.tolist() == [0.75, 0.5]
 
     def test_all_constant_columns_rejected(self):
         m = validate_matrix([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])

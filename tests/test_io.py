@@ -230,6 +230,11 @@ class TestReports:
         report = both_methods_report(m)
         assert parse_report(emit_report(report, "csv"), "csv") == report
 
+    @pytest.mark.parametrize("text", ["# a=b", "", "# schema=x\n# note=y\n"])
+    def test_csv_report_without_table_rejected(self, text):
+        with pytest.raises(ValueError, match="^csv report has no table header$"):
+            parse_report(text, "csv")
+
     def test_note_with_line_break_rejected(self, example1):
         for note in ("two\nlines", "carriage\rreturn"):
             with pytest.raises(ValueError):

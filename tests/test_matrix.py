@@ -189,6 +189,16 @@ class TestWeightVector:
         assert len(w) == 2
         assert list(w) == [0.25, 0.75]
 
+    def test_weights_are_a_read_only_copy(self):
+        source = np.array([0.25, 0.75])
+        w = WeightVector(source, "dwm")
+        source[0] = 0.5
+        assert w.weights.dtype == np.float64
+        assert not w.weights.flags.writeable
+        assert w.weights.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            w.weights[0] = 0.5
+
 
 class TestCriterionSpec:
     def test_direction_checked(self):

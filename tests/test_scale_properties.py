@@ -19,13 +19,6 @@ from mcdm_weights import (
     validate_matrix,
 )
 
-# a failing example's report imports libcst, whose import raises a
-# third-party DeprecationWarning; under the suite's "error" filter that
-# would crash pytest instead of printing the falsifying example
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
-
 #: deterministic and bounded, so the suite stays reproducible and fast
 FIXED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -54,7 +47,7 @@ NEAR_LIMIT_PAIR = (NEAR_LIMIT, NEAR_LIMIT[::-1] * 10.0 ** np.array([300, -300]))
 def weigh(method, grid):
     """The weights as an array, or the class of the method's refusal."""
     try:
-        return method(validate_matrix(grid))[0].as_array()
+        return method(validate_matrix(grid))[0].weights
     except MethodError as exc:
         return type(exc)
 
