@@ -74,14 +74,94 @@ def parse_matrix(
     """Parse delimited text into a validated DecisionMatrix.
 
     Numeric cells are taken as-is; textual cells are resolved through the
-    Likert map, honoring each column's ``:reverse`` annotation. Rows are
-    checked as they are read, so the first fault in file order is reported.
+    Likert map, honoring each column's ``:reverse`` annotation. A quote-free
+    file is read in bulk; any other file, and any file with a fault, is read
+    row by row, so the first fault in file order is reported.
 
     Raises:
         ParseError: structural problems (bad header, ragged row, empty cell).
         UnknownGrade: textual cell missing from the Likert map (with file
             line/column attached).
         Any validate_matrix error (NonFiniteValue, TooFewAlternatives, ...).
+    """
+    parsed = _parse_bulk(text, likert_map)
+    if parsed is None:
+        parsed = _parse_rows(text, likert_map)
+    grid, alternatives, criteria = parsed
+    return validate_matrix(grid, alternatives, criteria)
+
+
+def _parse_bulk(text: str, likert_map: LikertMap):
+    """Read a quote-free matrix file with one ``np.loadtxt`` over its numeric
+    columns, as ``(grid, labels, criteria)``.
+
+    The grade columns are those whose first data row is not a number. Returns
+    None on anything :func:`_parse_rows` might read differently: a quote, a
+    carriage return, a NUL, an over-long line, a fault, or a numeric column
+    that holds a grade further down. ``_parse_rows`` then reads the text and
+    reports the fault, if there is one, with its file position.
+    """
+    # csv.reader splits a line holding none of these on "," alone
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    # the rows _parse_rows skips are those whose cells are all blank
+    lines = [line for line in text.split("\n") if line.replace(",", "").strip()]
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header, *rows = lines
+    try:
+        # the header's line number only reaches an error that is discarded
+        criteria = _parse_header([cell.strip() for cell in header.split(",")], 1)
+        width = len(criteria) + 1
+        grades: dict[int, list[str]] = {}
+        for col, token in enumerate(rows[0].split(",")[1:width], start=1):
+            try:
+                float(token.strip())
+            except ValueError:
+                grades[col] = []
+        labels = []
+        for line in rows:
+            cells = line.split(",")
+            if len(cells) != width:
+                return None
+            labels.append(cells[0].strip())
+            for col, tokens in grades.items():
+                tokens.append(cells[col])
+        if not all(labels):
+            return None
+        # usecols skips the cells past the last one named, hence the widths
+        # checked above
+        numeric = [col for col in range(1, width) if col not in grades]
+        grid = np.empty((len(rows), width - 1))
+        grid[:, [col - 1 for col in numeric]] = np.loadtxt(
+            rows, delimiter=",", usecols=numeric, comments=None, ndmin=2
+        )
+        for col, tokens in grades.items():
+            reverse = criteria[col - 1].likert_reverse
+            scores = {t: _grade_cell(t, likert_map, reverse) for t in set(tokens)}
+            grid[:, col - 1] = [scores[t] for t in tokens]
+    except (ValueError, ParseError, UnknownGrade):
+        return None
+    return grid, labels, criteria
+
+
+def _grade_cell(token: str, likert_map: LikertMap, reverse: bool) -> float:
+    # _parse_rows's rule for one cell: a number first, then a grade; an
+    # empty cell re-raises float's ValueError
+    token = token.strip()
+    try:
+        return float(token)
+    except ValueError:
+        if not token:
+            raise
+        return likert_map.score(token, reverse)
+
+
+def _parse_rows(text: str, likert_map: LikertMap):
+    """Read matrix text row by row as ``(grid, labels, criteria)``.
+
+    Rows are checked as they are read, so the first fault in file order is
+    reported.
     """
     reader = csv.reader(StringIO(text))
     criteria: tuple[CriterionSpec, ...] | None = None
@@ -119,14 +199,42 @@ def parse_matrix(
         raise ParseError(reader.line_num, 1, str(exc)) from None
     if criteria is None:
         raise ParseError(1, 1, "empty document")
-    return validate_matrix(grid, alternatives, criteria)
+    return grid, alternatives, criteria
+
+
+def _unreadable(text: str) -> str | None:
+    # why parse_matrix would not read ``text`` back as one whole cell
+    if not text:
+        return "is empty"
+    if text != text.strip():
+        return "has leading or trailing whitespace"
+    return None
 
 
 def emit_matrix(matrix: DecisionMatrix) -> str:
     """Render a matrix back to delimited text (numeric cells, full repr).
 
-    parse_matrix(emit_matrix(m)) reproduces m exactly for numeric data.
+    parse_matrix(emit_matrix(m)) reproduces m exactly.
+
+    Raises:
+        ValueError: a label or criterion name that would not read back as
+            itself: one that is empty or padded with whitespace, or a name
+            holding the ``:`` that starts an annotation.
     """
+    for j, spec in enumerate(matrix.criteria):
+        reason = _unreadable(spec.name)
+        if reason is None and ":" in spec.name:
+            reason = "holds ':', which starts an annotation"
+        if reason is not None:
+            raise ValueError(
+                f"cannot write criterion {j} name {spec.name!r}: it {reason}"
+            )
+    for i, label in enumerate(matrix.alternatives):
+        reason = _unreadable(label)
+        if reason is not None:
+            raise ValueError(
+                f"cannot write alternative {i} label {label!r}: it {reason}"
+            )
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     header = ["alternative"]

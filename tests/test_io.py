@@ -1,11 +1,16 @@
 """File parsing, report emission, plot series, and round-trips."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+import mcdm_weights.io as matrix_io
 from mcdm_weights import (
+    DEFAULT_LIKERT_MAP,
+    LikertMap,
+    McdmError,
     ParseError,
     UnknownGrade,
     build_report,
@@ -75,6 +80,111 @@ MALFORMED = [
      "line 2, column 1: new-line character seen in unquoted field - "
      "do you need to open the file in universal-newline mode?"),
 ]
+
+
+#: Cells of the fuzzed matrix files. A trap is a text on which a bulk read
+#: and the row reader could part: float() takes "1_000" and "１２" where
+#: np.loadtxt refuses them, loadtxt takes "5\x1c" without a strip(), and a
+#: quote, "\r" or NUL means something to csv.reader alone.
+FUZZ_NUMBERS = ("1", "2.5", " 7 ", "-0.0", "1e3", "0.30000000000000004", "+.5")
+FUZZ_GRADES = ("Low", " high ", "MEDIUM", "Extremely  high", "relatively\tlow")
+FUZZ_TRAPS = (
+    "1_000", "１２", "5\x1c", "\x1c5", "7\x0c", "8\x85", "9\u2028", "0x10",
+    "", " ", "Bananas", "nan", "inf", "1e400", '"3"', '"4,5"', "6\r", "\r", "\x00",
+)
+FUZZ_BLANK_LINES = ("", "   ", ",,", " , ", "\t,\x1c", "\x85")
+
+
+def fuzzed_matrix_file(seed: int) -> str:
+    """A small matrix file; about half are well formed and quote-free.
+
+    A "mixed" column draws each cell as a number or a grade, so a grade can
+    sit below a numeric first row, and a number below a grade.
+    """
+    rng = random.Random(seed)
+    kinds = rng.choices(("number", "grade", "mixed"), (3, 1, 1), k=rng.randint(1, 4))
+    annotations = ("", "", "", ":cost", ":reverse", ":cost:reverse")
+    header = rng.choices(
+        ("alternative", "", " Alternative ", "\ufeffalternative"), (16, 1, 1, 1)
+    )
+    header += [f"c{j}{rng.choice(annotations)}" for j in range(len(kinds))]
+    if rng.random() < 0.03:
+        header[-1] += ":sideways"
+    rows = [header]
+    for i in range(rng.choice((0, 1) + (2, 3, 4, 5) * 5)):
+        row = rng.choices((f"A{i}", "", " ", f" A{i}\x1c"), (40, 1, 1, 1))
+        for kind in kinds:
+            if kind == "mixed":
+                kind = rng.choice(("number", "grade"))
+            pool = FUZZ_NUMBERS if kind == "number" else FUZZ_GRADES
+            row.append(rng.choice(FUZZ_TRAPS if rng.random() < 0.02 else pool))
+        if rng.random() < 0.02:
+            row.pop()
+        if rng.random() < 0.02:
+            row.append("1")
+        rows.append(row)
+    if rng.random() < 0.04:
+        row = rng.choice(rows)
+        j = rng.randrange(len(row))
+        row[j] = f'"{row[j]}"'
+    lines = [",".join(row) for row in rows]
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(FUZZ_BLANK_LINES))
+    end = "\r\n" if rng.random() < 0.03 else "\n"
+    return end.join(lines) + rng.choice((end, ""))
+
+
+#: Grades named "" and "1": a cell reading "1" is still the number 1 and an
+#: empty cell is still a fault, as in the row reader.
+NUMBER_LIKE_GRADES = LikertMap(
+    (("", 1.0), ("1", 2.0), ("Low", 3.0), ("Relatively low", 4.0),
+     ("Medium", 5.0), ("High", 6.0), ("Extremely high", 7.0))
+)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except McdmError as exc:
+        where = getattr(exc, "line", None), getattr(exc, "col", None)
+        return type(exc), where, str(exc)
+
+
+def _parse_row_by_row(text, likert_map):
+    return validate_matrix(*matrix_io._parse_rows(text, likert_map))
+
+
+def test_bulk_read_agrees_with_row_reader_on_fuzzed_files():
+    bulk = 0
+    for seed in range(3000):
+        text = fuzzed_matrix_file(seed)
+        likert_map = (DEFAULT_LIKERT_MAP, NUMBER_LIKE_GRADES)[seed % 2]
+        expected = _outcome(_parse_row_by_row, text, likert_map)
+        assert _outcome(parse_matrix, text, likert_map) == expected, (seed, text)
+        bulk += matrix_io._parse_bulk(text, likert_map) is not None
+    # both readers must see a fair share of the files, or one goes untested
+    assert 900 < bulk < 2100, bulk
+
+
+def test_quote_free_number_and_grade_file_is_read_in_bulk(monkeypatch):
+    # the tall-csv benchmark's file shape: repr floats, one reverse grade column
+    rng = np.random.default_rng(7)
+    numbers = rng.uniform(1.0, 200.0, size=(50, 4))
+    grades = rng.integers(0, len(DEFAULT_LIKERT_MAP.grades), 50)
+    lines = ["alternative,x1,x2,x3,x4,grade:reverse"]
+    for i, (row, g) in enumerate(zip(numbers.tolist(), grades)):
+        grade = DEFAULT_LIKERT_MAP.grades[g][0]
+        lines.append(f"a{i}," + ",".join(map(repr, row)) + f",{grade}")
+
+    def read_row_by_row(text, likert_map):
+        raise AssertionError("the file was read row by row")
+
+    monkeypatch.setattr(matrix_io, "_parse_rows", read_row_by_row)
+    m = parse_matrix("\n".join(lines) + "\n")
+    # reverse coding on the 1..7 scale: 8 - (g + 1)
+    np.testing.assert_array_equal(m.values, np.column_stack([numbers, 7.0 - grades]))
+    assert m.alternatives == tuple(f"a{i}" for i in range(50))
+    assert m.criteria[-1].likert_reverse
 
 
 @pytest.mark.parametrize(
@@ -158,6 +268,42 @@ class TestParseMatrix:
         m = parse_matrix("alternative,price:cost,work:reverse\nA1,10,2\nA2,20,4\n")
         again = parse_matrix(emit_matrix(m))
         assert again == m
+
+    @pytest.mark.parametrize(
+        "criteria, alternatives, message",
+        [
+            pytest.param(
+                ("x:y", "b"), ("A1", "A2"),
+                "cannot write criterion 0 name 'x:y': "
+                "it holds ':', which starts an annotation",
+                id="colon-in-name",
+            ),
+            pytest.param(
+                ("a", " b "), ("A1", "A2"),
+                "cannot write criterion 1 name ' b ': "
+                "it has leading or trailing whitespace",
+                id="padded-name",
+            ),
+            pytest.param(
+                ("a", "b"), (" A1", "A2"),
+                "cannot write alternative 0 label ' A1': "
+                "it has leading or trailing whitespace",
+                id="padded-label",
+            ),
+            pytest.param(
+                ("a", "b"), ("A1", ""),
+                "cannot write alternative 1 label '': it is empty",
+                id="empty-label",
+            ),
+        ],
+    )
+    def test_emit_refuses_cell_that_would_not_read_back(
+        self, criteria, alternatives, message
+    ):
+        m = validate_matrix([[1.0, 2.0], [3.0, 4.0]], alternatives, criteria)
+        with pytest.raises(ValueError) as info:
+            emit_matrix(m)
+        assert str(info.value) == message
 
 
 class TestReports:
