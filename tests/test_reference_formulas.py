@@ -1,10 +1,12 @@
-"""Both weighers against their textbook numpy formulas, bit for bit.
+"""Both weighers and Pearson's r against textbook numpy formulas, bit for bit.
 
 The reference below spells each method out with ``np.mean``/``np.std``
 over the max-scaled columns. Any rewrite of the package's arithmetic for
 speed must return arrays equal to it, not merely close, and must refuse
 the same grids with the same error.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from mcdm_weights import (
     dwm_weights,
     entropy_weights,
     normalize_columns,
+    pearson,
     validate_matrix,
 )
 
@@ -125,3 +128,13 @@ def test_weights_and_breakdowns_equal_the_reference_formulas(method, reference):
             assert np.array_equal(field, want)
     # enough grids reach the arithmetic for the equality to mean something
     assert compared >= 1000
+
+
+def test_pearson_equals_the_reference_formula():
+    rng = np.random.default_rng(20260502)
+    for size in [2, 3, 5, 8, 9, 20, 5000] * 150:
+        x, y = rng.uniform(-5.0, 100.0, size=(2, size)) * 10.0 ** rng.uniform(-9, 9)
+        dx = x - np.mean(x)
+        dy = y - np.mean(y)
+        expected = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+        assert pearson(x, y) == expected
