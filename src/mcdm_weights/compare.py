@@ -86,8 +86,9 @@ def pearson(x, y) -> float:
         raise LengthMismatch(f"got shapes {xs.shape} and {ys.shape}")
     if xs.size < 2:
         raise LengthMismatch("need at least 2 points")
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
+    # xs.mean() bit for bit, without its Python wrapper
+    dx = xs - xs.sum() / xs.size
+    dy = ys - ys.sum() / ys.size
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:

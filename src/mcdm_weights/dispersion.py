@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsConstant, DegenerateMean
-from .matrix import DecisionMatrix, WeightVector, _readonly, _scaled_columns
+from .matrix import (
+    DecisionMatrix,
+    WeightVector,
+    _first_fault,
+    _readonly,
+    _scaled_columns,
+)
 
 # CVs at or below this are indistinguishable from a constant column
 _CONSTANT_EPS = 1e-12
@@ -31,9 +37,9 @@ class DispersionBreakdown:
     def __post_init__(self):
         for name in ("mean", "std", "cv"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if (self.std < 0).any():
+        if np.count_nonzero(self.std < 0.0):
             raise ValueError("standard deviations must be nonnegative")
-        if (self.cv < 0).any():
+        if np.count_nonzero(self.cv < 0.0):
             raise ValueError("coefficients of variation must be nonnegative")
 
 
@@ -48,14 +54,18 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
     # CV is unit-free, so it is taken on the columns scaled into [-1, 1];
     # there a mean of 1e-9 is small next to the column's own size
     scaled, scales = _scaled_columns(matrix.values, DegenerateMean)
-    means = scaled.mean(axis=0)
-    stds = scaled.std(axis=0)
+    # np.mean and np.std, bit for bit, without their Python wrappers
+    n = scaled.shape[0]
+    means = scaled.sum(axis=0) / n
+    deviations = scaled - means
+    stds = np.sqrt((deviations * deviations).sum(axis=0) / n)
 
-    degenerate = np.flatnonzero(np.abs(means) <= 1e-9)
-    if degenerate.size:
-        raise DegenerateMean(int(degenerate[0]))
+    magnitudes = np.abs(means)
+    degenerate = _first_fault(magnitudes <= 1e-9)
+    if degenerate:
+        raise DegenerateMean(*degenerate)
 
-    cvs = stds / np.abs(means)
+    cvs = stds / magnitudes
     if (cvs <= _CONSTANT_EPS).all():
         raise AllColumnsConstant("every column is constant; no dispersion to weight")
 

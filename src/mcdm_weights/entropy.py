@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsUniform, NegativeEntry, ZeroColumn
-from .matrix import DecisionMatrix, WeightVector, _readonly, _scaled_columns
+from .matrix import (
+    DecisionMatrix,
+    WeightVector,
+    _first_fault,
+    _readonly,
+    _scaled_columns,
+)
 
 # divergences at or below this are indistinguishable from a uniform column
 _UNIFORM_EPS = 1e-12
@@ -35,10 +41,10 @@ class EntropyBreakdown:
         for name in ("entropy", "divergence"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         e = self.entropy
-        bad = e[~((-1e-12 <= e) & (e <= 1.0 + 1e-12))]
-        if bad.size:
-            raise ValueError(f"entropy {float(bad[0])!r} outside [0, 1]")
-        if (self.divergence != 1.0 - e).any():
+        in_range = (-1e-12 <= e) & (e <= 1.0 + 1e-12)
+        if not in_range.all():
+            raise ValueError(f"entropy {float(e[~in_range][0])!r} outside [0, 1]")
+        if np.count_nonzero(self.divergence != 1.0 - e):
             raise ValueError("divergence must equal 1 - entropy")
 
 
@@ -54,10 +60,9 @@ def normalize_columns(matrix: DecisionMatrix) -> np.ndarray:
         ZeroColumn: a column of all zeros.
     """
     values = matrix.values
-    neg = np.argwhere(values < 0)
-    if neg.size:
-        row, col = (int(v) for v in neg[0])
-        raise NegativeEntry(row, col)
+    neg = _first_fault(values < 0.0)
+    if neg:
+        raise NegativeEntry(*neg)
     scaled, _ = _scaled_columns(values, ZeroColumn)
     shares = scaled / scaled.sum(axis=0)
     shares.flags.writeable = False

@@ -202,13 +202,26 @@ def _parse_rows(text: str, likert_map: LikertMap):
     return grid, alternatives, criteria
 
 
-def _unreadable(text: str) -> str | None:
-    # why parse_matrix would not read ``text`` back as one whole cell
+def _unreadable(text: str, cell: str) -> str | None:
+    # why parse_matrix would not read ``cell``, written for ``text``, back
     if not text:
         return "is empty"
     if text != text.strip():
         return "has leading or trailing whitespace"
+    limit = csv.field_size_limit()
+    if len(cell) > limit:
+        return (
+            f"makes a {len(cell)}-character cell, "
+            f"over the CSV field limit of {limit}"
+        )
     return None
+
+
+def _shown(text: str) -> str:
+    # the text for an error message, cut short if it is long
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def emit_matrix(matrix: DecisionMatrix) -> str:
@@ -218,33 +231,33 @@ def emit_matrix(matrix: DecisionMatrix) -> str:
 
     Raises:
         ValueError: a label or criterion name that would not read back as
-            itself: one that is empty or padded with whitespace, or a name
-            holding the ``:`` that starts an annotation.
+            itself: one that is empty or padded with whitespace, a name
+            holding the ``:`` that starts an annotation, or one whose cell
+            is longer than ``csv.field_size_limit()``.
     """
+    header = ["alternative"]
     for j, spec in enumerate(matrix.criteria):
-        reason = _unreadable(spec.name)
+        cell = spec.name
+        if spec.direction == "cost":
+            cell += ":cost"
+        if spec.likert_reverse:
+            cell += ":reverse"
+        reason = _unreadable(spec.name, cell)
         if reason is None and ":" in spec.name:
             reason = "holds ':', which starts an annotation"
         if reason is not None:
             raise ValueError(
-                f"cannot write criterion {j} name {spec.name!r}: it {reason}"
+                f"cannot write criterion {j} name {_shown(spec.name)}: it {reason}"
             )
+        header.append(cell)
     for i, label in enumerate(matrix.alternatives):
-        reason = _unreadable(label)
+        reason = _unreadable(label, label)
         if reason is not None:
             raise ValueError(
-                f"cannot write alternative {i} label {label!r}: it {reason}"
+                f"cannot write alternative {i} label {_shown(label)}: it {reason}"
             )
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = ["alternative"]
-    for spec in matrix.criteria:
-        name = spec.name
-        if spec.direction == "cost":
-            name += ":cost"
-        if spec.likert_reverse:
-            name += ":reverse"
-        header.append(name)
     writer.writerow(header)
     for label, row in zip(matrix.alternatives, matrix.values):
         writer.writerow([label] + [repr(float(v)) for v in row])

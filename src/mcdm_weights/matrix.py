@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -168,7 +169,7 @@ class WeightVector:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
-        if (self.weights < 0).any():
+        if np.count_nonzero(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
         total = float(self.weights.sum())
         # a NaN or infinite weight makes the total NaN or infinite: refused
@@ -182,6 +183,19 @@ class WeightVector:
         return iter(self.weights)
 
 
+def _first_fault(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True of ``mask`` in row-major order, or None.
+
+    The same position as ``np.argwhere(mask)[0]`` for any memory layout
+    (``argmax`` flattens in C order). A clean mask costs one
+    ``count_nonzero``, a C call several times cheaper than ``mask.any()``
+    on a small array.
+    """
+    if not np.count_nonzero(mask):
+        return None
+    return tuple(int(i) for i in np.unravel_index(mask.argmax(), mask.shape))
+
+
 def _scaled_columns(
     values: np.ndarray, zero_column: type[Exception]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,22 +207,32 @@ def _scaled_columns(
     ``zero_column(j)`` before any division.
     """
     scales = np.abs(values).max(axis=0)
-    zero = np.flatnonzero(scales == 0.0)
-    if zero.size:
-        raise zero_column(int(zero[0]))
+    zero = _first_fault(scales == 0.0)
+    if zero:
+        raise zero_column(*zero)
     return values / scales, scales
+
+
+@lru_cache(maxsize=32)
+def _default_alternatives(n_rows: int) -> tuple[str, ...]:
+    return tuple(f"A{i + 1}" for i in range(n_rows))
+
+
+@lru_cache(maxsize=32)
+def _default_criteria(n_cols: int) -> tuple[CriterionSpec, ...]:
+    # CriterionSpec is frozen, so every matrix of this width can share these
+    return tuple(CriterionSpec(f"C{j + 1}") for j in range(n_cols))
 
 
 def _coerce_criteria(
     criteria: Sequence[CriterionSpec | str] | None, n_cols: int
 ) -> tuple[CriterionSpec, ...]:
     if criteria is None:
-        return tuple(CriterionSpec(f"C{j + 1}") for j in range(n_cols))
-    specs = tuple(
+        return _default_criteria(n_cols)
+    return tuple(
         spec if isinstance(spec, CriterionSpec) else CriterionSpec(str(spec))
         for spec in criteria
     )
-    return specs
 
 
 def validate_matrix(
@@ -245,15 +269,14 @@ def validate_matrix(
     if n_cols < 1:
         raise BadDims("matrix needs at least one criterion")
 
-    bad = np.argwhere(~np.isfinite(grid))
-    if bad.size:
-        row, col = (int(v) for v in bad[0])
-        raise NonFiniteValue(row, col)
+    bad = _first_fault(~np.isfinite(grid))
+    if bad:
+        raise NonFiniteValue(*bad)
 
     if alternatives is None:
-        alternatives = tuple(f"A{i + 1}" for i in range(n_rows))
+        alternatives = _default_alternatives(n_rows)
     else:
-        alternatives = tuple(str(a) for a in alternatives)
+        alternatives = tuple(map(str, alternatives))
         if len(alternatives) != n_rows:
             raise NonRectangular(
                 f"{len(alternatives)} alternative labels for {n_rows} rows"
@@ -263,11 +286,12 @@ def validate_matrix(
     if len(specs) != n_cols:
         raise NonRectangular(f"{len(specs)} criterion specs for {n_cols} columns")
     names = [spec.name for spec in specs]
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateCriterionName(f"criterion {name!r} appears twice")
-        seen.add(name)
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DuplicateCriterionName(f"criterion {name!r} appears twice")
+            seen.add(name)
 
     return DecisionMatrix(alternatives=alternatives, criteria=specs, values=grid)
 

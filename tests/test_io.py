@@ -1,5 +1,6 @@
 """File parsing, report emission, plot series, and round-trips."""
 
+import csv
 import json
 import random
 
@@ -9,6 +10,7 @@ import pytest
 import mcdm_weights.io as matrix_io
 from mcdm_weights import (
     DEFAULT_LIKERT_MAP,
+    CriterionSpec,
     LikertMap,
     McdmError,
     ParseError,
@@ -304,6 +306,40 @@ class TestParseMatrix:
         with pytest.raises(ValueError) as info:
             emit_matrix(m)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "criteria, alternatives, start",
+        [
+            pytest.param(
+                ("a", "b"), ("x" * 200_000, "A2"),
+                "cannot write alternative 0 label 'xxxxxxxxxx",
+                id="long-label",
+            ),
+            pytest.param(
+                # the name alone fits; with its ":cost" suffix the cell does not
+                (CriterionSpec("y" * (csv.field_size_limit() - 4), "cost"), "b"),
+                ("A1", "A2"),
+                "cannot write criterion 0 name 'yyyyyyyyyy",
+                id="long-annotated-name",
+            ),
+        ],
+    )
+    def test_emit_refuses_cell_over_the_csv_field_limit(
+        self, criteria, alternatives, start
+    ):
+        m = validate_matrix([[1.0, 2.0], [3.0, 4.0]], alternatives, criteria)
+        with pytest.raises(ValueError) as info:
+            emit_matrix(m)
+        message = str(info.value)
+        assert message.startswith(start)
+        assert f"CSV field limit of {csv.field_size_limit()}" in message
+        # the message names the text without repeating all of it
+        assert len(message) < 200
+
+    def test_cell_at_the_csv_field_limit_round_trips(self):
+        label = "x" * csv.field_size_limit()
+        m = validate_matrix([[1.0, 2.0], [3.0, 4.0]], (label, "A2"), ("a", "b"))
+        assert parse_matrix(emit_matrix(m)) == m
 
 
 class TestReports:
