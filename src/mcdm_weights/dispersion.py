@@ -56,9 +56,9 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
     scaled, scales = _scaled_columns(matrix.values, DegenerateMean)
     # np.mean and np.std, bit for bit, without their Python wrappers
     n = scaled.shape[0]
-    means = scaled.sum(axis=0) / n
+    means = np.add.reduce(scaled, 0) / n
     deviations = scaled - means
-    stds = np.sqrt((deviations * deviations).sum(axis=0) / n)
+    stds = np.sqrt(np.add.reduce(deviations * deviations, 0) / n)
 
     magnitudes = np.abs(means)
     degenerate = _first_fault(magnitudes <= 1e-9)
@@ -66,8 +66,8 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
         raise DegenerateMean(*degenerate)
 
     cvs = stds / magnitudes
-    if (cvs <= _CONSTANT_EPS).all():
+    if np.count_nonzero(cvs <= _CONSTANT_EPS) == cvs.size:
         raise AllColumnsConstant("every column is constant; no dispersion to weight")
 
     breakdown = DispersionBreakdown(means * scales, stds * scales, cvs)
-    return WeightVector(cvs / cvs.sum(), "dwm"), breakdown
+    return WeightVector(cvs / np.add.reduce(cvs, None), "dwm"), breakdown

@@ -42,7 +42,7 @@ class EntropyBreakdown:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         e = self.entropy
         in_range = (-1e-12 <= e) & (e <= 1.0 + 1e-12)
-        if not in_range.all():
+        if np.count_nonzero(in_range) < e.size:
             raise ValueError(f"entropy {float(e[~in_range][0])!r} outside [0, 1]")
         if np.count_nonzero(self.divergence != 1.0 - e):
             raise ValueError("divergence must equal 1 - entropy")
@@ -64,7 +64,7 @@ def normalize_columns(matrix: DecisionMatrix) -> np.ndarray:
     if neg:
         raise NegativeEntry(*neg)
     scaled, _ = _scaled_columns(values, ZeroColumn)
-    shares = scaled / scaled.sum(axis=0)
+    shares = scaled / np.add.reduce(scaled, 0)
     shares.flags.writeable = False
     return shares
 
@@ -85,14 +85,14 @@ def entropy_weights(matrix: DecisionMatrix) -> tuple[WeightVector, EntropyBreakd
     """
     shares = normalize_columns(matrix)
     k = 1.0 / np.log(matrix.n_alternatives)
-    entropies = -k * _plogp(shares).sum(axis=0)
+    entropies = -k * np.add.reduce(_plogp(shares), 0)
     divergences = 1.0 - entropies
 
     # rounding can leave a uniform column a few ulp off d = 0, either side;
     # clamp for the weight quotient so the simplex constraint holds exactly
     usable = np.maximum(divergences, 0.0)
-    if (divergences <= _UNIFORM_EPS).all():
+    if np.count_nonzero(divergences <= _UNIFORM_EPS) == divergences.size:
         raise AllColumnsUniform("every column is uniform; no divergence to weight")
 
     breakdown = EntropyBreakdown(entropies, divergences, float(k))
-    return WeightVector(usable / usable.sum(), "entropy"), breakdown
+    return WeightVector(usable / np.add.reduce(usable, None), "entropy"), breakdown

@@ -168,10 +168,11 @@ class WeightVector:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _readonly(self.weights))
-        if np.count_nonzero(self.weights < 0.0):
+        weights = _readonly(self.weights)
+        object.__setattr__(self, "weights", weights)
+        if np.count_nonzero(weights < 0.0):
             raise ValueError("weights must be nonnegative")
-        total = float(self.weights.sum())
+        total = float(np.add.reduce(weights, None))
         # a NaN or infinite weight makes the total NaN or infinite: refused
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
@@ -206,10 +207,12 @@ def _scaled_columns(
     Algorithms*, ch. 4). The first zero column ``j`` raises
     ``zero_column(j)`` before any division.
     """
-    scales = np.abs(values).max(axis=0)
-    zero = _first_fault(scales == 0.0)
-    if zero:
-        raise zero_column(*zero)
+    # the ufunc reductions are called directly here and in the weighers: on
+    # a small grid the Python wrappers of .max()/.sum() cost more than the
+    # reduction itself
+    scales = np.maximum.reduce(np.abs(values), 0)
+    if np.count_nonzero(scales) < scales.size:
+        raise zero_column(*_first_fault(scales == 0.0))
     return values / scales, scales
 
 
