@@ -91,8 +91,17 @@ def _run_trial(
         r = pearson(we, wd)
     except (ConstantVector, LengthMismatch):
         r = None
-    # argmax takes the first maximum: rank_desc's lower-index tie break
-    return True, True, r, bool(np.argmax(we) == np.argmax(wd))
+    return True, True, r, _top(we) == _top(wd)
+
+
+def _top(weights: np.ndarray) -> int:
+    """Index of the first largest weight: rank_desc's lower-index tie break.
+
+    Not ``np.argmax``, which releases the GIL: on a two-thread bench the
+    other pool thread then takes it, and the trial waits for its turn.
+    """
+    values = weights.tolist()
+    return values.index(max(values))
 
 
 def run_benchmark(
