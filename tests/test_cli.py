@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcdm_weights
@@ -313,6 +314,13 @@ class TestBench:
             )
             assert code == 0
         assert asked == [1, 2, 3, 7, 7]
+
+    def test_top_criterion_is_the_first_largest_weight(self):
+        assert cli._top(np.array([0.2, 0.4, 0.4])) == 1
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            weights = rng.integers(0, 4, size=int(rng.integers(1, 9))) / 4.0
+            assert cli._top(weights) == int(np.argmax(weights))
 
 
 class TestDeterminism:
