@@ -73,7 +73,7 @@ def _run_trial(
     seed: int, trial: int, dims: tuple[int, int], value_range: tuple[float, float]
 ) -> tuple[bool, bool, float | None, bool | None]:
     """``(entropy_ok, dwm_ok, pearson, rank1_agree)``; the last two need both."""
-    # distinct, order-independent stream per trial: parallel == serial
+    # a distinct stream per trial, whatever order the trials run in
     trial_seed = int(np.random.SeedSequence((seed, trial)).generate_state(1)[0])
     matrix = generate_matrix(trial_seed, dims, value_range)
 
@@ -91,17 +91,8 @@ def _run_trial(
         r = pearson(we, wd)
     except (ConstantVector, LengthMismatch):
         r = None
-    return True, True, r, _top(we) == _top(wd)
-
-
-def _top(weights: np.ndarray) -> int:
-    """Index of the first largest weight: rank_desc's lower-index tie break.
-
-    Not ``np.argmax``, which releases the GIL: on a two-thread bench the
-    other pool thread then takes it, and the trial waits for its turn.
-    """
-    values = weights.tolist()
-    return values.index(max(values))
+    # first maximum on both sides: rank_desc breaks ties by lower index
+    return True, True, r, int(np.argmax(we)) == int(np.argmax(wd))
 
 
 def run_benchmark(
@@ -113,22 +104,15 @@ def run_benchmark(
 ) -> BenchSummary:
     """Monte Carlo method-agreement benchmark over seeded random matrices.
 
-    The trials run in contiguous chunks, one per worker thread, and are
-    aggregated in trial-index order, so any worker count yields an
-    identical summary.
+    ``workers`` is accepted and changes nothing: every trial holds the GIL,
+    so a second thread would only take turns with the first. The trials
+    run in trial-index order as one task on a one-worker pool, the seam a
+    caller can swap for a tracing or fake executor.
     """
-    # the pool needs one worker even when a library caller asks for 0 trials
-    n_chunks = max(1, min(workers, trials))
-    chunks = [
-        range(trials * i // n_chunks, trials * (i + 1) // n_chunks)
-        for i in range(n_chunks)
-    ]
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        results = pool.map(
-            lambda chunk: [_run_trial(seed, t, dims, value_range) for t in chunk],
-            chunks,
-        )
-        outcomes = [outcome for chunk in results for outcome in chunk]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        outcomes = pool.submit(
+            lambda: [_run_trial(seed, t, dims, value_range) for t in range(trials)]
+        ).result()
 
     compared = [(r, agree) for e_ok, d_ok, r, agree in outcomes if e_ok and d_ok]
     pearsons = [r for r, _ in compared if r is not None]
@@ -273,7 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cols", type=int, default=5)
     bench.add_argument("--lo", type=float, default=1.0)
     bench.add_argument("--hi", type=float, default=100.0)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and changes nothing: the trials hold the GIL, so "
+        "they run on one thread",
+    )
     bench.set_defaults(func=cmd_bench)
 
     return parser

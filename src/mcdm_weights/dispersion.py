@@ -17,7 +17,7 @@ from .matrix import (
     DecisionMatrix,
     WeightVector,
     _first_fault,
-    _readonly,
+    _freeze_fields,
     _scaled_columns,
 )
 
@@ -35,8 +35,7 @@ class DispersionBreakdown:
     cv: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "std", "cv"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        _freeze_fields(self, "mean", "std", "cv")
         if np.count_nonzero(self.std < 0.0):
             raise ValueError("standard deviations must be nonnegative")
         if np.count_nonzero(self.cv < 0.0):

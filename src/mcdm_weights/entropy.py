@@ -17,7 +17,7 @@ from .matrix import (
     DecisionMatrix,
     WeightVector,
     _first_fault,
-    _readonly,
+    _freeze_fields,
     _scaled_columns,
 )
 
@@ -38,8 +38,7 @@ class EntropyBreakdown:
     k: float
 
     def __post_init__(self):
-        for name in ("entropy", "divergence"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        _freeze_fields(self, "entropy", "divergence")
         e = self.entropy
         in_range = (-1e-12 <= e) & (e <= 1.0 + 1e-12)
         if np.count_nonzero(in_range) < e.size:

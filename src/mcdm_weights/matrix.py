@@ -120,6 +120,23 @@ def _readonly(values) -> np.ndarray:
     return frozen
 
 
+def _freeze_fields(instance, *names: str) -> None:
+    """Set each named field of a frozen dataclass to its read-only copy.
+
+    Raises:
+        ValueError: a field is not 1-D, or the fields differ in length.
+    """
+    lengths = set()
+    for name in names:
+        vector = _readonly(getattr(instance, name))
+        if vector.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {vector.shape}")
+        lengths.add(len(vector))
+        object.__setattr__(instance, name, vector)
+    if len(lengths) > 1:
+        raise ValueError(f"{', '.join(names)} must have one length")
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
     """Validated alternatives x criteria value grid.
@@ -168,8 +185,8 @@ class WeightVector:
     method: str
 
     def __post_init__(self):
-        weights = _readonly(self.weights)
-        object.__setattr__(self, "weights", weights)
+        _freeze_fields(self, "weights")
+        weights = self.weights
         if np.count_nonzero(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         total = float(np.add.reduce(weights, None))

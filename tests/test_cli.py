@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import mcdm_weights
@@ -298,29 +297,28 @@ class TestBench:
         assert all(code == 0 for code, _, _ in outs.values())
         assert len({out for _, out, _ in outs.values()}) == 1
 
-    def test_pool_never_exceeds_the_trial_count(self, capsys, monkeypatch):
-        asked = []
+    def test_one_task_on_one_worker_for_any_worker_count(self, capsys, monkeypatch):
+        asked, tasks = [], []
 
         class RecordingExecutor(cli.ThreadPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 asked.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
 
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
         monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
-        for workers in (1, 2, 3, 7, 9):
+        for workers in (1, 2, 8, 9):
             code, _, _ = run(
                 capsys, "bench", "--trials", "7", "--seed", "3",
                 "--workers", str(workers),
             )
             assert code == 0
-        assert asked == [1, 2, 3, 7, 7]
-
-    def test_top_criterion_is_the_first_largest_weight(self):
-        assert cli._top(np.array([0.2, 0.4, 0.4])) == 1
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            weights = rng.integers(0, 4, size=int(rng.integers(1, 9))) / 4.0
-            assert cli._top(weights) == int(np.argmax(weights))
+            assert (asked, len(tasks)) == ([1], 1)
+            asked.clear()
+            tasks.clear()
 
 
 class TestDeterminism:

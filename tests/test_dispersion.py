@@ -109,6 +109,14 @@ class TestDwmWeights:
         assert breakdown.std.tolist() == [1.0, 1.0]
         assert breakdown.cv.tolist() == [0.5, 0.25]
 
+    def test_breakdown_fields_must_share_one_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            DispersionBreakdown(np.ones(3), np.ones(2), np.ones(5))
+
+    def test_breakdown_fields_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            DispersionBreakdown(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+
     def test_all_constant_rejected(self):
         m = validate_matrix([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])
         with pytest.raises(AllColumnsConstant):

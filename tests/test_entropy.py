@@ -120,6 +120,15 @@ class TestEntropyWeights:
         assert breakdown.entropy.tolist() == [0.25, 0.5]
         assert breakdown.divergence.tolist() == [0.75, 0.5]
 
+    def test_breakdown_fields_must_share_one_length(self):
+        # divergence == 1 - entropy would broadcast a length-1 divergence
+        with pytest.raises(ValueError, match="one length"):
+            EntropyBreakdown(np.array([0.5, 0.5, 0.5]), np.array([0.5]), 1.0)
+
+    def test_breakdown_fields_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            EntropyBreakdown(np.array([[0.5]]), np.array([[0.5]]), 1.0)
+
     def test_all_constant_columns_rejected(self):
         m = validate_matrix([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])
         with pytest.raises(AllColumnsUniform):

@@ -199,6 +199,10 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             w.weights[0] = 0.5
 
+    def test_weights_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            WeightVector(np.array([[0.5], [0.5]]), "dwm")
+
 
 class TestCriterionSpec:
     def test_direction_checked(self):
