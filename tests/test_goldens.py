@@ -45,6 +45,10 @@ COMMANDS.update({
     "bench-t80-s12-w8.json": (
         "bench", "--trials", "80", "--seed", "12", "--workers", "8",
     ),
+    # agreement-mc's shape and range, at a size where batching shows
+    "bench-t2000-s7-mc.json": (
+        "bench", "--trials", "2000", "--seed", "7", "--lo", "-5", "--hi", "100",
+    ),
 })
 
 NOTES = ("fixture run", "second note: commas, quotes \" and = signs")
