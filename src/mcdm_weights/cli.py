@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compare import compare_weights, pearson
-from .dispersion import dwm_weights
+from .dispersion import _dwm_columns, dwm_weights
 from .entropy import entropy_weights
 from .errors import ConstantVector, InputError, LengthMismatch, MethodError
 from .io import (
@@ -69,30 +69,58 @@ class BenchSummary:
             raise ValueError("pearson summary must satisfy min <= median <= max")
 
 
-def _run_trial(
-    seed: int, trial: int, dims: tuple[int, int], value_range: tuple[float, float]
-) -> tuple[bool, bool, float | None, bool | None]:
-    """``(entropy_ok, dwm_ok, pearson, rank1_agree)``; the last two need both."""
-    # a distinct stream per trial, whatever order the trials run in
-    trial_seed = int(np.random.SeedSequence((seed, trial)).generate_state(1)[0])
-    matrix = generate_matrix(trial_seed, dims, value_range)
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe, 32-bit words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
-    weights = []
-    for method in (entropy_weights, dwm_weights):
-        try:
-            weights.append(method(matrix)[0].weights)
-        except MethodError:
-            weights.append(None)
-    we, wd = weights
-    if we is None or wd is None:
-        return we is not None, wd is not None, None, None
 
-    try:
-        r = pearson(we, wd)
-    except (ConstantVector, LengthMismatch):
-        r = None
-    # first maximum on both sides: rank_desc breaks ties by lower index
-    return True, True, r, int(np.argmax(we)) == int(np.argmax(wd))
+def _trial_seeds(seed: int, trials: int) -> np.ndarray:
+    """``SeedSequence((seed, t)).generate_state(1)[0]`` for every trial t.
+
+    numpy's hash, vectorized over t: the hash constants do not depend on
+    the entropy, so every trial runs the same steps on its own words. Each
+    32-bit word is held in a uint64 array, and every operand is uint64, so
+    a product is exact before it is masked and numpy's promotion rules
+    never come into play.
+    """
+    mask, shift = np.uint64(_MASK32), np.uint64(16)
+    # the entropy words: the seed's, least significant first, then t's
+    words = [
+        np.full(trials, seed >> s & _MASK32, dtype=np.uint64)
+        for s in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    words.append(np.arange(trials, dtype=np.uint64))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint64(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint64(hash_const) & mask
+        return value ^ value >> shift
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # uint64 wraps modulo 2**64, a multiple of 2**32, so the mask is exact
+        result = np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y & mask
+        return result ^ result >> shift
+
+    pool_size = 4
+    zeros = np.zeros(trials, dtype=np.uint64)
+    pool = [hashmix(words[i] if i < len(words) else zeros) for i in range(pool_size)]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state's first word
+    state = pool[0] ^ np.uint64(_INIT_B)
+    state = state * np.uint64(_INIT_B * _MULT_B & _MASK32) & mask
+    return state ^ state >> shift
 
 
 def run_benchmark(
@@ -104,19 +132,51 @@ def run_benchmark(
 ) -> BenchSummary:
     """Monte Carlo method-agreement benchmark over seeded random matrices.
 
-    ``workers`` is accepted and changes nothing: every trial holds the GIL,
-    so a second thread would only take turns with the first. The trials
-    run in trial-index order as one task on a one-worker pool, the seam a
-    caller can swap for a tracing or fake executor.
-    """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        outcomes = pool.submit(
-            lambda: [_run_trial(seed, t, dims, value_range) for t in range(trials)]
-        ).result()
+    Trial t weighs ``generate_matrix(SeedSequence((seed, t))
+    .generate_state(1)[0], dims, value_range)`` by both methods. The trial
+    seeds are taken in one vectorized pass. Each trial's matrix is drawn
+    and weighed by entropy on its own, into one ``(trials, A, C)`` stack;
+    one dispersion pass then weighs the whole stack, with the bits
+    ``dwm_weights`` gives each matrix. The trials in which both methods
+    succeed are compared one at a time, in trial order.
 
-    compared = [(r, agree) for e_ok, d_ok, r, agree in outcomes if e_ok and d_ok]
-    pearsons = [r for r, _ in compared if r is not None]
-    agreements = sum(agree for _, agree in compared)
+    ``workers`` is accepted and changes nothing: the work holds the GIL, so
+    a second thread would only take turns with the first. It runs as one
+    task on a one-worker pool, the seam a caller can swap for a tracing or
+    fake executor.
+    """
+    def trial_stats():
+        stack = np.empty((trials, *dims))
+        entropy = np.empty((trials, dims[1]))
+        entropy_ok = np.ones(trials, dtype=bool)
+        for t, trial_seed in enumerate(_trial_seeds(seed, trials).tolist()):
+            matrix = generate_matrix(trial_seed, dims, value_range)
+            stack[t] = matrix.values
+            try:
+                entropy[t] = entropy_weights(matrix)[0].weights
+            except MethodError:
+                entropy_ok[t] = False
+
+        cvs, zero, degenerate, constant = _dwm_columns(stack)[3:]
+        dwm_ok = ~(np.logical_or.reduce(zero | degenerate, -1) | constant)
+        both = entropy_ok & dwm_ok
+        we = entropy[both]
+        wd = cvs[both]
+        wd /= np.add.reduce(wd, -1, keepdims=True)
+
+        pearsons = []
+        for x, y in zip(we, wd):
+            try:
+                pearsons.append(pearson(x, y))
+            except (ConstantVector, LengthMismatch):
+                pass
+        # first maximum on both sides: rank_desc breaks ties by lower index
+        agreements = np.count_nonzero(np.argmax(we, -1) == np.argmax(wd, -1))
+        return entropy_ok, dwm_ok, pearsons, int(agreements)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        entropy_ok, dwm_ok, pearsons, agreements = pool.submit(trial_stats).result()
+    compared = int(np.count_nonzero(entropy_ok & dwm_ok))
 
     def q6(value: float) -> float:
         return round(value, 6)
@@ -126,15 +186,15 @@ def run_benchmark(
         seed=seed,
         dims=dims,
         value_range=value_range,
-        compared_trials=len(compared),
-        entropy_failures=sum(not e_ok for e_ok, _, _, _ in outcomes),
-        dwm_failures=sum(not d_ok for _, d_ok, _, _ in outcomes),
-        dwm_only_trials=sum(d_ok and not e_ok for e_ok, d_ok, _, _ in outcomes),
+        compared_trials=compared,
+        entropy_failures=int(np.count_nonzero(~entropy_ok)),
+        dwm_failures=int(np.count_nonzero(~dwm_ok)),
+        dwm_only_trials=int(np.count_nonzero(dwm_ok & ~entropy_ok)),
         pearson_min=q6(min(pearsons)) if pearsons else None,
         pearson_max=q6(max(pearsons)) if pearsons else None,
         pearson_mean=q6(sum(pearsons) / len(pearsons)) if pearsons else None,
         pearson_median=q6(statistics.median(pearsons)) if pearsons else None,
-        rank1_agreement_rate=q6(agreements / len(compared)) if compared else None,
+        rank1_agreement_rate=q6(agreements / compared) if compared else None,
     )
 
 

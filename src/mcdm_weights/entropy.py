@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllColumnsUniform, NegativeEntry, ZeroColumn
-from .matrix import (
-    DecisionMatrix,
-    WeightVector,
-    _first_fault,
-    _freeze_fields,
-    _scaled_columns,
-)
+from .matrix import DecisionMatrix, WeightVector, _first_fault, _freeze_fields
 
 # divergences at or below this are indistinguishable from a uniform column
 _UNIFORM_EPS = 1e-12
@@ -62,7 +56,15 @@ def normalize_columns(matrix: DecisionMatrix) -> np.ndarray:
     neg = _first_fault(values < 0.0)
     if neg:
         raise NegativeEntry(*neg)
-    scaled, _ = _scaled_columns(values, ZeroColumn)
+    # shares do not depend on a column's unit, so each column is first
+    # divided by its largest |value|, and sums of entries in [0, 1] cannot
+    # overflow (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    # ch. 4); the ufunc reductions skip the Python wrappers of .max() and
+    # .sum(), which cost more than the reduction on a small grid
+    scales = np.maximum.reduce(np.abs(values), 0)
+    if np.count_nonzero(scales) < scales.size:
+        raise ZeroColumn(*_first_fault(scales == 0.0))
+    scaled = values / scales
     shares = scaled / np.add.reduce(scaled, 0)
     shares.flags.writeable = False
     return shares

@@ -45,7 +45,8 @@ class CriterionSpec:
 
 @dataclass(frozen=True)
 class LikertMap:
-    """Ordered verbal-grade scale with strictly increasing positive scores.
+    """Ordered verbal-grade scale with strictly increasing, finite, positive
+    scores.
 
     Grades match case- and whitespace-insensitively. Reverse coding reflects
     a score about the scale midpoint: ``reversed = (max + min) - score``.
@@ -64,6 +65,8 @@ class LikertMap:
         if not self.grades:
             raise ValueError("Likert map needs at least one grade")
         scores = [s for _, s in self.grades]
+        if not all(map(math.isfinite, scores)):
+            raise ValueError("Likert scores must be finite")
         if any(s <= 0 for s in scores):
             raise ValueError("Likert scores must be positive")
         if any(b <= a for a, b in zip(scores, scores[1:])):
@@ -212,25 +215,6 @@ def _first_fault(mask: np.ndarray) -> tuple[int, ...] | None:
     if not np.count_nonzero(mask):
         return None
     return tuple(int(axis[0]) for axis in mask.nonzero())
-
-
-def _scaled_columns(
-    values: np.ndarray, zero_column: type[Exception]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each column divided by its largest |value|, and those largest values.
-
-    Shares and CVs do not depend on a column's unit, and sums of entries in
-    [-1, 1] cannot overflow (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 4). The first zero column ``j`` raises
-    ``zero_column(j)`` before any division.
-    """
-    # the ufunc reductions are called directly here and in the weighers: on
-    # a small grid the Python wrappers of .max()/.sum() cost more than the
-    # reduction itself
-    scales = np.maximum.reduce(np.abs(values), 0)
-    if np.count_nonzero(scales) < scales.size:
-        raise zero_column(*_first_fault(scales == 0.0))
-    return values / scales, scales
 
 
 @lru_cache(maxsize=32)

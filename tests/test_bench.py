@@ -22,7 +22,8 @@ from mcdm_weights import (
     generate_matrix,
     pearson,
 )
-from mcdm_weights.cli import BENCH_SCHEMA, emit_bench, run_benchmark
+from mcdm_weights import cli
+from mcdm_weights.cli import BENCH_SCHEMA, _trial_seeds, emit_bench, run_benchmark
 
 RANGES = [
     (1.0, 100.0),
@@ -90,3 +91,46 @@ def test_bench_equals_the_per_trial_oracle(dims, value_range):
     for trials in (0, 1, 7, 257):
         got = emit_bench(run_benchmark(trials, 5, dims, value_range))
         assert got == oracle_bench(trials, 5, dims, value_range)
+
+
+@pytest.mark.parametrize("dims", [(4, 5), (6, 9), (2, 12)], ids=lambda d: f"{d[0]}x{d[1]}")
+def test_bench_compares_the_public_weights_bit_for_bit(monkeypatch, dims):
+    # the summary rounds to 6 decimals; the weight pairs behind it must
+    # carry the public weighers' bits, in trial order
+    seen = []
+
+    def recording_pearson(x, y):
+        seen.append((x.tobytes(), y.tobytes()))
+        return pearson(x, y)
+
+    monkeypatch.setattr(cli, "pearson", recording_pearson)
+    run_benchmark(300, 3, dims, (-5.0, 100.0))
+    want = []
+    for t in range(300):
+        trial_seed = int(np.random.SeedSequence((3, t)).generate_state(1)[0])
+        matrix = generate_matrix(trial_seed, dims, (-5.0, 100.0))
+        try:
+            pair = entropy_weights(matrix)[0].weights, dwm_weights(matrix)[0].weights
+        except MethodError:
+            continue
+        want.append(tuple(w.tobytes() for w in pair))
+    assert len(want) > 20
+    assert seen == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 3**70])
+def test_trial_seeds_equal_numpy_seed_sequence(seed):
+    # seeds of one, two and four 32-bit words; with t's word, 3**70 gives
+    # five, one more than the hash's pool holds, so its last word takes the
+    # hash's second loop
+    want = [
+        int(np.random.SeedSequence((seed, t)).generate_state(1)[0])
+        for t in range(5000)
+    ]
+    got = _trial_seeds(seed, 5000)
+    assert got.dtype == np.uint64
+    assert got.tolist() == want
+
+
+def test_no_trials_have_no_seeds():
+    assert _trial_seeds(7, 0).shape == (0,)

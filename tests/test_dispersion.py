@@ -7,10 +7,12 @@ from mcdm_weights import (
     AllColumnsConstant,
     DegenerateMean,
     DispersionBreakdown,
+    MethodError,
     TooFewAlternatives,
     dwm_weights,
     validate_matrix,
 )
+from mcdm_weights.dispersion import _dwm_columns
 
 import golden
 from oracles import oracle_dwm_weights
@@ -210,3 +212,65 @@ class TestDwmProperties:
         grid = np.array([[1.0, 5.0, 8.0], [2.0, 5.0, 1.0], [9.0, 5.0, 3.0]])
         weights, _ = dwm_weights(validate_matrix(grid))
         assert abs(weights.weights[1]) <= 1e-12
+
+
+def test_mean_just_above_the_bound_is_weighed_by_its_own_size():
+    # scaled means 2e-9 and 3e-9: past the 1e-9 bound, so each CV divides
+    # by the mean itself, not by the bound
+    grid = np.array([[-1.0, 1.0], [0.0, -1.0], [1.0 + 6e-9, 9e-9]])
+    scaled = grid / np.abs(grid).max(axis=0)
+    cv = np.std(scaled, axis=0) / np.abs(np.mean(scaled, axis=0))
+    assert np.array_equal(breakdown_of(grid).cv, cv)
+    assert np.array_equal(dwm_weights(validate_matrix(grid))[0].weights, cv / cv.sum())
+
+
+def faulty_stack(rows, cols, seed):
+    """Seeded grids over several ranges, with hand-placed faults up front."""
+    rng = np.random.default_rng(seed)
+    ranges = [(-5.0, 100.0), (1.0, 100.0), (-50.0, -1.0), (1e307, 1.7e308), (1e-300, 1e-299)]
+    stack = np.concatenate(
+        [rng.uniform(lo, hi, size=(60, rows, cols)) for lo, hi in ranges]
+    )
+    symmetric = np.linspace(-1.0, 1.0, rows)  # |mean| <= 1e-9 of its scale
+    stack[0, :, cols - 1] = 0.0  # a zero column
+    stack[1, :, cols // 2] = symmetric  # a degenerate mean
+    stack[2] = stack[2, :1]  # every column constant
+    stack[4, :, 0] = symmetric + 4e-9  # |mean| just above the bound: weighed
+    if cols > 1:
+        # a zero column after a degenerate one: the zero column is named
+        stack[3, :, 0] = symmetric
+        stack[3, :, cols - 1] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("cols", [1, 5, 8, 9, 12])
+@pytest.mark.parametrize("rows", [2, 4, 9])
+def test_stacked_kernel_matches_dwm_weights_per_grid(rows, cols):
+    stack = faulty_stack(rows, cols, seed=rows * 100 + cols)
+    scales, means, stds, cvs, zero, degenerate, constant = _dwm_columns(stack)
+    ok = ~(np.logical_or.reduce(zero | degenerate, -1) | constant)
+    # the bench's normalization: all passing grids at once
+    weights = cvs[ok]
+    weights /= np.add.reduce(weights, -1, keepdims=True)
+    assert zero[0, -1] and degenerate[1].any() and constant[2] and ok[4]
+    if cols > 1:
+        assert degenerate[3, 0] and zero[3, -1] and not zero[3, 0]
+
+    passing = iter(weights)
+    for t, grid in enumerate(stack):
+        try:
+            want, breakdown = dwm_weights(validate_matrix(grid))
+        except DegenerateMean as exc:
+            assert not ok[t]
+            faults = zero[t] if zero[t].any() else degenerate[t]
+            assert exc.col == int(np.flatnonzero(faults)[0])
+            continue
+        except MethodError:
+            assert not ok[t] and constant[t]
+            continue
+        assert ok[t]
+        assert next(passing).tobytes() == want.weights.tobytes()
+        assert (means[t] * scales[t]).tobytes() == breakdown.mean.tobytes()
+        assert (stds[t] * scales[t]).tobytes() == breakdown.std.tobytes()
+        assert cvs[t].tobytes() == breakdown.cv.tobytes()
+    assert next(passing, None) is None

@@ -131,6 +131,16 @@ class TestLikert:
         with pytest.raises(ValueError):
             LikertMap((("zero", 0.0), ("one", 1.0)))
 
+    def test_map_rejects_nan_score(self):
+        # NaN compares false both ways, so the order checks alone let it by
+        with pytest.raises(ValueError, match="finite"):
+            LikertMap((("lo", 1.0), ("hi", math.nan)))
+
+    def test_map_rejects_infinite_score(self):
+        # an infinite top score would reverse-code itself to inf - inf = NaN
+        with pytest.raises(ValueError, match="finite"):
+            LikertMap((("lo", 1.0), ("hi", math.inf)))
+
 
 class TestGenerateMatrix:
     def test_deterministic(self):
