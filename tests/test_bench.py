@@ -21,6 +21,7 @@ from mcdm_weights import (
     entropy_weights,
     generate_matrix,
     pearson,
+    validate_matrix,
 )
 from mcdm_weights import cli
 from mcdm_weights.cli import BENCH_SCHEMA, _trial_seeds, emit_bench, run_benchmark
@@ -116,6 +117,15 @@ def test_bench_compares_the_public_weights_bit_for_bit(monkeypatch, dims):
         want.append(tuple(w.tobytes() for w in pair))
     assert len(want) > 20
     assert seen == want
+
+
+def test_tied_top_weights_agree_on_the_first_maximum(monkeypatch):
+    # two equal columns tie for the top weight under both methods; each side
+    # takes the first of them, as rank_desc ranks a tie by the lower index
+    grid = validate_matrix([[1.0, 1.0, 5.0], [9.0, 9.0, 6.0], [4.0, 4.0, 5.0]])
+    monkeypatch.setattr(cli, "generate_matrix", lambda *args: grid)
+    summary = run_benchmark(3, 0, (3, 3), (1.0, 10.0))
+    assert (summary.compared_trials, summary.rank1_agreement_rate) == (3, 1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 3**70])
