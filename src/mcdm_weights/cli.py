@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .dispersion import _dwm_columns, dwm_weights
 from .entropy import entropy_weights
 from .errors import ConstantVector, InputError, LengthMismatch, MethodError
 from .io import (
+    _q6,
     build_report,
     emit_plot_series,
     emit_report,
@@ -31,7 +31,7 @@ from .io import (
     resolve_input,
     sha256_digest,
 )
-from .matrix import generate_matrix
+from .matrix import _check_draw, generate_matrix
 from .version import __version__
 
 BENCH_SCHEMA = "mcdm-weights/bench/v1"
@@ -59,14 +59,6 @@ class BenchSummary:
     pearson_mean: float | None
     pearson_median: float | None
     rank1_agreement_rate: float | None
-
-    def __post_init__(self):
-        rate = self.rank1_agreement_rate
-        if rate is not None and not 0.0 <= rate <= 1.0:
-            raise ValueError(f"agreement rate {rate!r} outside [0, 1]")
-        stats = (self.pearson_min, self.pearson_median, self.pearson_max)
-        if None not in stats and not stats[0] <= stats[1] <= stats[2]:
-            raise ValueError("pearson summary must satisfy min <= median <= max")
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe, 32-bit words)
@@ -144,7 +136,17 @@ def run_benchmark(
     a second thread would only take turns with the first. It runs as one
     task on a one-worker pool, the seam a caller can swap for a tracing or
     fake executor.
+
+    Raises:
+        InputError: ``trials`` or ``seed`` below 0, or ``workers`` below 1.
+        BadDims, BadRange: as :func:`generate_matrix` raises them.
     """
+    limits = (("trials", trials, 0), ("seed", seed, 0), ("workers", workers, 1))
+    for name, value, least in limits:
+        if value < least:
+            raise InputError(f"{name} must be at least {least}, got {value}")
+    _check_draw(dims, value_range)
+
     def trial_stats():
         stack = np.empty((trials, *dims))
         entropy = np.empty((trials, dims[1]))
@@ -177,10 +179,6 @@ def run_benchmark(
     with ThreadPoolExecutor(max_workers=1) as pool:
         entropy_ok, dwm_ok, pearsons, agreements = pool.submit(trial_stats).result()
     compared = int(np.count_nonzero(entropy_ok & dwm_ok))
-
-    def q6(value: float) -> float:
-        return round(value, 6)
-
     return BenchSummary(
         trials=trials,
         seed=seed,
@@ -190,11 +188,11 @@ def run_benchmark(
         entropy_failures=int(np.count_nonzero(~entropy_ok)),
         dwm_failures=int(np.count_nonzero(~dwm_ok)),
         dwm_only_trials=int(np.count_nonzero(dwm_ok & ~entropy_ok)),
-        pearson_min=q6(min(pearsons)) if pearsons else None,
-        pearson_max=q6(max(pearsons)) if pearsons else None,
-        pearson_mean=q6(sum(pearsons) / len(pearsons)) if pearsons else None,
-        pearson_median=q6(statistics.median(pearsons)) if pearsons else None,
-        rank1_agreement_rate=q6(agreements / compared) if compared else None,
+        pearson_min=_q6(min(pearsons)) if pearsons else None,
+        pearson_max=_q6(max(pearsons)) if pearsons else None,
+        pearson_mean=_q6(sum(pearsons) / len(pearsons)) if pearsons else None,
+        pearson_median=_q6(float(np.median(pearsons))) if pearsons else None,
+        rank1_agreement_rate=_q6(agreements / compared) if compared else None,
     )
 
 
@@ -258,16 +256,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # the library takes 0 trials; the command wants at least one
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
-    if args.rows < 2 or args.cols < 1:
-        raise InputError("--rows must be >= 2 and --cols >= 1")
-    if args.seed < 0:
-        raise InputError("--seed must be nonnegative")
-    if not args.lo < args.hi:
-        raise InputError("--lo must be strictly below --hi")
-    if args.workers < 1:
-        raise InputError("--workers must be at least 1")
     summary = run_benchmark(
         trials=args.trials,
         seed=args.seed,

@@ -146,7 +146,7 @@ def _parse_bulk(text: str, likert_map: LikertMap):
 
 
 def _grade_cell(token: str, likert_map: LikertMap, reverse: bool) -> float:
-    # _parse_rows's rule for one cell: a number first, then a grade; an
+    # both readers' rule for one cell: a number first, then a grade; an
     # empty cell re-raises float's ValueError
     token = token.strip()
     try:
@@ -185,14 +185,11 @@ def _parse_rows(text: str, likert_map: LikertMap):
             values: list[float] = []
             for col, (token, spec) in enumerate(zip(cells[1:], criteria), start=2):
                 try:
-                    values.append(float(token))
+                    values.append(_grade_cell(token, likert_map, spec.likert_reverse))
                 except ValueError:
-                    if not token:
-                        raise ParseError(line, col, "empty cell") from None
-                    try:
-                        values.append(likert_map.score(token, spec.likert_reverse))
-                    except UnknownGrade:
-                        raise UnknownGrade(token, line=line, col=col) from None
+                    raise ParseError(line, col, "empty cell") from None
+                except UnknownGrade:
+                    raise UnknownGrade(token, line=line, col=col) from None
             alternatives.append(label)
             grid.append(values)
     except csv.Error as exc:

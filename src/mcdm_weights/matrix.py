@@ -300,6 +300,18 @@ def validate_matrix(
     return DecisionMatrix(alternatives=alternatives, criteria=specs, values=grid)
 
 
+def _check_draw(dims: tuple[int, int], value_range: tuple[float, float]) -> None:
+    """:func:`generate_matrix`'s dims and range rules, which the agreement
+    bench also checks before it draws anything."""
+    n_rows, n_cols = dims
+    lo, hi = value_range
+    if n_rows < 2 or n_cols < 1:
+        raise BadDims(f"dims must be at least 2x1, got {n_rows}x{n_cols}")
+    # an infinite bound, or a width past the float range, leaves hi - lo infinite
+    if not lo < hi or not math.isfinite(float(hi) - float(lo)):
+        raise BadRange(f"need lo < hi with a finite hi - lo, got [{lo}, {hi}]")
+
+
 def generate_matrix(
     seed: int,
     dims: tuple[int, int],
@@ -309,15 +321,11 @@ def generate_matrix(
 
     A pure function of its arguments: the same (seed, dims, range) always
     yields the same matrix.
-    """
-    n_rows, n_cols = dims
-    lo, hi = value_range
-    if n_rows < 2 or n_cols < 1:
-        raise BadDims(f"dims must be at least 2x1, got {n_rows}x{n_cols}")
-    # an infinite bound, or a width past the float range, leaves hi - lo infinite
-    if not lo < hi or not math.isfinite(float(hi) - float(lo)):
-        raise BadRange(f"need lo < hi with a finite hi - lo, got [{lo}, {hi}]")
 
-    rng = np.random.default_rng(seed)
-    grid = rng.uniform(lo, hi, size=(n_rows, n_cols))
+    Raises:
+        BadDims: fewer than 2 rows or no column.
+        BadRange: ``lo >= hi``, or an infinite ``hi - lo``.
+    """
+    _check_draw(dims, value_range)
+    grid = np.random.default_rng(seed).uniform(*value_range, size=dims)
     return validate_matrix(grid)

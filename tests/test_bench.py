@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from mcdm_weights import (
+    BadDims,
     ConstantVector,
+    InputError,
     LengthMismatch,
     MethodError,
     dwm_weights,
@@ -144,3 +146,20 @@ def test_trial_seeds_equal_numpy_seed_sequence(seed):
 
 def test_no_trials_have_no_seeds():
     assert _trial_seeds(7, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("trials, seed, workers", [(5, -1, 1), (-1, 0, 1), (5, 0, 0)])
+def test_bad_trials_seed_or_workers_raise_input_error(trials, seed, workers):
+    with pytest.raises(InputError) as caught:
+        run_benchmark(trials, seed, (4, 5), (1.0, 100.0), workers)
+    # the CLI prints the class name, and its tests look for this one
+    assert type(caught.value) is InputError
+
+
+def test_bad_dims_are_refused_before_the_trials_start(monkeypatch):
+    # the trials, their stacks included, are allocated and drawn on the pool
+    pools = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda *args, **kw: pools.append(1))
+    with pytest.raises(BadDims):
+        run_benchmark(3, 0, (-1, 5), (1.0, 100.0))
+    assert pools == []

@@ -260,6 +260,16 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--rows", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, error",
+        [(("--rows", "-1"), "BadDims"), (("--cols", "0"), "BadDims"),
+         (("--lo", "5"), "BadRange")],
+    )
+    def test_bad_draw_flags_print_the_library_error(self, capsys, flag, error):
+        code, out, err = run(capsys, "bench", "--trials", "2", "--hi", "5", *flag)
+        assert (code, out) == (2, "")
+        assert f"error: {error}: " in err
+
     @pytest.mark.parametrize("flag", [("--seed", "-1"), ("--workers", "0")])
     def test_negative_seed_or_no_workers_exits_2(self, capsys, flag):
         code, out, err = run(capsys, "bench", "--trials", "2", *flag)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from mcdm_weights import (
+    ComparisonReport,
     ConstantVector,
     DimensionMismatch,
     LengthMismatch,
@@ -58,6 +59,10 @@ class TestSawScores:
         shares = normalize_columns(example1)
         with pytest.raises(DimensionMismatch):
             saw_scores(shares, WeightVector((0.5, 0.5), "manual"))
+
+    def test_shares_must_be_2d(self):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            saw_scores(np.ones(2), WeightVector((0.5, 0.5), "manual"))
 
     def test_linear_in_weights(self, example1):
         shares = normalize_columns(example1)
@@ -191,6 +196,14 @@ class TestSpearman:
                 stats.spearmanr(x, y).statistic, abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "x, y", [([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0], [3.0, 4.0]],) * 2]
+    )
+    def test_shapes_must_be_one_equal_1d_shape(self, x, y):
+        # unchecked, numpy 1.x's flat np.unique inverse would rank each 2-D
+        # grid as one vector and correlate the two
+        with pytest.raises(LengthMismatch, match="shapes"):
+            spearman(x, y)
 
     def test_fractional_ranks_are_exact_average_ranks(self):
         rng = np.random.default_rng(29)
@@ -199,6 +212,24 @@ class TestSpearman:
                 np.testing.assert_array_equal(
                     _fractional_ranks(x), stats.rankdata(-x, method="average")
                 )
+
+
+class TestComparisonReport:
+    def test_correlation_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            ComparisonReport((1, 2), (1, 2), 1.5, None, 2)
+        with pytest.raises(ValueError, match="outside"):
+            ComparisonReport((1, 2), (1, 2), None, -1.5, 2)
+
+    def test_ranks_must_be_a_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            ComparisonReport((1, 2), (1, 1), None, None, 1)
+
+    def test_weights_of_different_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            compare_weights(
+                WeightVector((0.5, 0.5), "a"), WeightVector((0.2, 0.3, 0.5), "b")
+            )
 
 
 class TestCompareMethods:

@@ -119,6 +119,14 @@ class TestDwmWeights:
         with pytest.raises(ValueError, match="1-D"):
             DispersionBreakdown(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
 
+    def test_breakdown_negative_std_rejected(self):
+        with pytest.raises(ValueError, match="standard deviations"):
+            DispersionBreakdown(np.ones(2), np.array([1.0, -1.0]), np.ones(2))
+
+    def test_breakdown_negative_cv_rejected(self):
+        with pytest.raises(ValueError, match="coefficients of variation"):
+            DispersionBreakdown(np.ones(2), np.ones(2), np.array([1.0, -1.0]))
+
     def test_all_constant_rejected(self):
         m = validate_matrix([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])
         with pytest.raises(AllColumnsConstant):

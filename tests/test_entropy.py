@@ -129,6 +129,15 @@ class TestEntropyWeights:
         with pytest.raises(ValueError, match="1-D"):
             EntropyBreakdown(np.array([[0.5]]), np.array([[0.5]]), 1.0)
 
+    @pytest.mark.parametrize("e", [-0.5, 1.5])
+    def test_breakdown_entropy_outside_unit_interval_rejected(self, e):
+        with pytest.raises(ValueError, match="outside"):
+            EntropyBreakdown(np.array([0.5, e]), np.array([0.5, 1.0 - e]), 1.0)
+
+    def test_breakdown_divergence_must_be_one_minus_entropy(self):
+        with pytest.raises(ValueError, match="1 - entropy"):
+            EntropyBreakdown(np.array([0.5, 0.25]), np.array([0.5, 0.7]), 1.0)
+
     def test_all_constant_columns_rejected(self):
         m = validate_matrix([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])
         with pytest.raises(AllColumnsUniform):

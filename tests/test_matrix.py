@@ -68,6 +68,19 @@ class TestValidateMatrix:
         with pytest.raises(BadDims):
             validate_matrix(np.empty((3, 0)))
 
+    def test_1d_array_rejected(self):
+        with pytest.raises(NonRectangular, match="2-D"):
+            validate_matrix(np.ones(3))
+
+    def test_criterion_count_mismatch_rejected(self):
+        with pytest.raises(NonRectangular, match="criterion specs"):
+            validate_matrix([[1.0, 2.0], [3.0, 4.0]], criteria=["x"])
+
+    def test_matrix_is_not_equal_to_other_types(self):
+        m = validate_matrix([[1.0, 2.0], [3.0, 4.0]])
+        assert (m == 3) is False
+        assert m != 3
+
     def test_default_labels(self):
         m = validate_matrix([[1.0, 2.0], [3.0, 4.0]])
         assert m.alternatives == ("A1", "A2")
@@ -130,6 +143,14 @@ class TestLikert:
     def test_map_rejects_nonpositive_scores(self):
         with pytest.raises(ValueError):
             LikertMap((("zero", 0.0), ("one", 1.0)))
+
+    def test_map_rejects_empty_scale(self):
+        with pytest.raises(ValueError, match="at least one grade"):
+            LikertMap(())
+
+    def test_map_rejects_labels_differing_only_in_case(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            LikertMap((("Low", 1.0), ("low", 2.0)))
 
     def test_map_rejects_nan_score(self):
         # NaN compares false both ways, so the order checks alone let it by
