@@ -14,6 +14,7 @@ formatting, so identical inputs produce byte-identical output anywhere.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import ComparisonReport, rank_desc
+from .compare import ComparisonReport, _is_rank_desc, rank_desc
 from .dispersion import DispersionBreakdown
 from .entropy import EntropyBreakdown
 from .errors import DimensionMismatch, ParseError, UnknownGrade
@@ -92,57 +93,66 @@ def parse_matrix(
 
 
 def _parse_bulk(text: str, likert_map: LikertMap):
-    """Read a quote-free matrix file with one ``np.loadtxt`` over its numeric
-    columns, as ``(grid, labels, criteria)``.
+    """Read a quote-free matrix file with one ``np.loadtxt`` over every
+    column of its data rows, as ``(grid, labels, criteria)``.
 
-    The grade columns are those whose first data row is not a number. Returns
-    None on anything :func:`_parse_rows` might read differently: a quote, a
-    carriage return, a NUL, an over-long line, a fault, or a numeric column
-    that holds a grade further down. ``_parse_rows`` then reads the text and
-    reports the fault, if there is one, with its file position.
+    The label column and the grade columns, those whose first data row is
+    not a number, are read through converters: the label converter keeps
+    each stripped label, and a grade column's converter scores each distinct
+    grade once. loadtxt reads the other columns as numbers, and refuses a
+    row whose width differs from the first row's, which is checked against
+    the header. Returns None on anything :func:`_parse_rows` might read
+    differently: a quote, a carriage return, a NUL, an over-long line, a
+    fault, or a numeric column that holds a grade further down.
+    ``_parse_rows`` then reads the text and reports the fault, if there is
+    one, with its file position.
     """
     # csv.reader splits a line holding none of these on "," alone
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    # the rows _parse_rows skips are those whose cells are all blank
-    lines = [line for line in text.split("\n") if line.replace(",", "").strip()]
+    # the rows _parse_rows skips are those whose cells are all blank; a line
+    # that starts with anything but a comma or whitespace is not one of them
+    lines = [
+        line
+        for line in text.split("\n")
+        if line[:1].strip() not in ("", ",") or line.replace(",", "").strip()
+    ]
     if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
         return None
     header, *rows = lines
+    labels: list[str] = []
+
+    def keep_label(cell: str) -> float:
+        label = cell.strip()
+        if not label:
+            raise ValueError("missing alternative label")
+        labels.append(label)
+        return 0.0
+
     try:
         # the header's line number only reaches an error that is discarded
         criteria = _parse_header([cell.strip() for cell in header.split(",")], 1)
-        width = len(criteria) + 1
-        grades: dict[int, list[str]] = {}
-        for col, token in enumerate(rows[0].split(",")[1:width], start=1):
+        first = rows[0].split(",")
+        if len(first) != len(criteria) + 1:
+            return None
+        converters = {0: keep_label}
+        for col, (token, spec) in enumerate(zip(first[1:], criteria), start=1):
             try:
                 float(token.strip())
             except ValueError:
-                grades[col] = []
-        labels = []
-        for line in rows:
-            cells = line.split(",")
-            if len(cells) != width:
-                return None
-            labels.append(cells[0].strip())
-            for col, tokens in grades.items():
-                tokens.append(cells[col])
-        if not all(labels):
-            return None
-        # usecols skips the cells past the last one named, hence the widths
-        # checked above
-        numeric = [col for col in range(1, width) if col not in grades]
-        grid = np.empty((len(rows), width - 1))
-        grid[:, [col - 1 for col in numeric]] = np.loadtxt(
-            rows, delimiter=",", usecols=numeric, comments=None, ndmin=2
+                converters[col] = functools.cache(
+                    functools.partial(
+                        _grade_cell, likert_map=likert_map, reverse=spec.likert_reverse
+                    )
+                )
+        # encoding=None hands the converters str, where numpy < 2 gives bytes
+        grid = np.loadtxt(
+            rows, delimiter=",", comments=None, ndmin=2,
+            converters=converters, encoding=None,
         )
-        for col, tokens in grades.items():
-            reverse = criteria[col - 1].likert_reverse
-            scores = {t: _grade_cell(t, likert_map, reverse) for t in set(tokens)}
-            grid[:, col - 1] = [scores[t] for t in tokens]
     except (ValueError, ParseError, UnknownGrade):
         return None
-    return grid, labels, criteria
+    return grid[:, 1:], labels, criteria
 
 
 def _grade_cell(token: str, likert_map: LikertMap, reverse: bool) -> float:
@@ -327,11 +337,15 @@ def build_report(
 
     Ranks are extracted before quantization; printed values are rounded to
     6 decimals, exceeding the precision of any weight this tool emits.
-    Blocks for methods that did not run are omitted.
+    Blocks for methods that did not run are omitted. ``comparison`` must be
+    ``compare_weights(entropy[0], dwm[0])``: each block takes its ranks from
+    it, and ranks its own weights only where the comparison's ranks are not
+    theirs.
 
     Raises:
         ValueError: a note contains a line break, which a CSV report could
-            not carry on its one ``# note=`` line.
+            not carry on its one ``# note=`` line, or the comparison ranks a
+            number of weights other than the criteria count.
     """
     doc: ReportDocument = {
         "schema": REPORT_SCHEMA,
@@ -345,14 +359,24 @@ def build_report(
     if notes:
         doc["notes"] = list(notes)
     sources = {}
+    ranked = {}
     if comparison is not None:
         sources["comparison"] = vars(comparison)
+        ranked = {"entropy": comparison.ranks_a, "dwm": comparison.ranks_b}
+        for ranks in ranked.values():
+            if len(ranks) != len(criteria):
+                raise ValueError(
+                    f"comparison ranks {len(ranks)} weights, not {len(criteria)}"
+                )
     for block, result in (("entropy", entropy), ("dwm", dwm)):
         if result is not None:
             # a method block reads its breakdown, its weight vector's
-            # weights, and the ranks of those weights
+            # weights, and the ranks of those weights, which the comparison
+            # holds unless it was made from other weights
             weights, breakdown = result
-            ranks = rank_desc(weights.weights)
+            ranks = ranked.get(block)
+            if ranks is None or not _is_rank_desc(ranks, weights.weights):
+                ranks = rank_desc(weights.weights)
             sources[block] = {**vars(breakdown), **vars(weights), "ranks": ranks}
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:

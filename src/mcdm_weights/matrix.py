@@ -305,6 +305,8 @@ def _check_draw(dims: tuple[int, int], value_range: tuple[float, float]) -> None
     bench also checks before it draws anything."""
     n_rows, n_cols = dims
     lo, hi = value_range
+    if not all(isinstance(n, (int, np.integer)) for n in dims):
+        raise BadDims(f"dims must be integers, got {dims!r}")
     if n_rows < 2 or n_cols < 1:
         raise BadDims(f"dims must be at least 2x1, got {n_rows}x{n_cols}")
     # an infinite bound, or a width past the float range, leaves hi - lo infinite
@@ -323,7 +325,7 @@ def generate_matrix(
     yields the same matrix.
 
     Raises:
-        BadDims: fewer than 2 rows or no column.
+        BadDims: dims that are not integers, fewer than 2 rows or no column.
         BadRange: ``lo >= hi``, or an infinite ``hi - lo``.
     """
     _check_draw(dims, value_range)

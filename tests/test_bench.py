@@ -156,6 +156,31 @@ def test_bad_trials_seed_or_workers_raise_input_error(trials, seed, workers):
     assert type(caught.value) is InputError
 
 
+@pytest.mark.parametrize(
+    "trials, seed, workers", [(5, 1.5, 1), (5.0, 0, 1), (5, 0, 1.0), (5, "1", 1)]
+)
+def test_non_integer_trials_seed_or_workers_raise_input_error(trials, seed, workers):
+    with pytest.raises(InputError, match="must be an integer") as caught:
+        run_benchmark(trials, seed, (4, 5), (1.0, 100.0), workers)
+    assert type(caught.value) is InputError
+
+
+@pytest.mark.parametrize("dims", [(4.0, 5), (4, 5.5), (4, "5")])
+def test_non_integer_dims_raise_bad_dims(dims):
+    with pytest.raises(BadDims, match="must be integers"):
+        run_benchmark(3, 0, dims, (1.0, 100.0))
+    with pytest.raises(BadDims, match="must be integers"):
+        generate_matrix(0, dims, (1.0, 100.0))
+
+
+def test_numpy_integer_arguments_run_as_python_ints():
+    want = run_benchmark(40, 3, (4, 5), (-5.0, 100.0), 2)
+    dims = (np.int64(4), np.int8(5))
+    got = run_benchmark(np.int64(40), np.uint32(3), dims, (-5.0, 100.0), np.int16(2))
+    assert got == want
+    assert emit_bench(got) == emit_bench(want)
+
+
 def test_bad_dims_are_refused_before_the_trials_start(monkeypatch):
     # the trials, their stacks included, are allocated and drawn on the pool
     pools = []

@@ -15,6 +15,7 @@ from mcdm_weights import (
     McdmError,
     ParseError,
     UnknownGrade,
+    WeightVector,
     build_report,
     compare_weights,
     dwm_weights,
@@ -187,6 +188,62 @@ def test_quote_free_number_and_grade_file_is_read_in_bulk(monkeypatch):
     np.testing.assert_array_equal(m.values, np.column_stack([numbers, 7.0 - grades]))
     assert m.alternatives == tuple(f"a{i}" for i in range(50))
     assert m.criteria[-1].likert_reverse
+
+
+#: A scale whose grades are not ASCII.
+ACCENTED_GRADES = LikertMap((("Très bas", 1.0), ("Moyen", 2.0), ("Élevé", 3.0)))
+
+
+def tall_shaped_lines(rows: int = 30) -> list[str]:
+    """A tall-csv-shaped file, as lines: padded labels, one of them not
+    ASCII, repr floats and a last ``:reverse`` column of accented grades."""
+    rng = np.random.default_rng(11)
+    numbers = rng.uniform(1.0, 200.0, size=(rows, 3))
+    grades = [g for g, _ in ACCENTED_GRADES.grades]
+    lines = ["alternative,x1,x2,x3,note:reverse"]
+    for i, row in enumerate(numbers.tolist()):
+        label = "  Zürich  " if i == rows // 2 else f" a{i} "
+        lines.append(f"{label}," + ",".join(map(repr, row)) + f",{grades[i % 3]}")
+    return lines
+
+
+def test_tall_file_with_blank_lines_is_read_in_bulk_as_the_row_reader_reads_it(
+    monkeypatch,
+):
+    lines = tall_shaped_lines()
+    # an empty, a whitespace-only and two comma-only lines, none at the top
+    for at, blank in ((1, ""), (5, "   "), (9, ",,,,"), (20, " , ,\t, ,")):
+        lines.insert(at, blank)
+    text = "\n".join(lines) + "\n\n"
+    expected = _parse_row_by_row(text, ACCENTED_GRADES)
+
+    def read_row_by_row(text, likert_map):
+        raise AssertionError("the file was read row by row")
+
+    monkeypatch.setattr(matrix_io, "_parse_rows", read_row_by_row)
+    m = parse_matrix(text, ACCENTED_GRADES)
+    assert m == expected
+    assert m.alternatives[0] == "a0"
+    assert m.alternatives[15] == "Zürich"
+    # reverse coding on the 1..3 scale: 4 - score
+    np.testing.assert_array_equal(m.values[:3, -1], [3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["wider", "narrower"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_ragged_row_reports_the_row_readers_fault(extra, where):
+    lines = tall_shaped_lines()
+    row = {"first": 1, "middle": 15, "last": len(lines) - 1}[where]
+    cells = lines[row].split(",")
+    lines[row] = ",".join(cells + ["1.5"] if extra > 0 else cells[:-1])
+    text = "\n".join(lines) + "\n"
+    assert matrix_io._parse_bulk(text, ACCENTED_GRADES) is None
+    with pytest.raises(ParseError) as info:
+        parse_matrix(text, ACCENTED_GRADES)
+    reason = f"row has {4 + extra} cells, expected 4"
+    got = info.value.line, info.value.col, str(info.value)
+    assert got == (row + 1, 1, f"line {row + 1}, column 1: {reason}")
+    assert _outcome(_parse_row_by_row, text, ACCENTED_GRADES)[1:] == (got[:2], got[2])
 
 
 @pytest.mark.parametrize(
@@ -385,6 +442,37 @@ class TestReports:
             )
             for block, ranks in expected.items():
                 assert report[block]["ranks"] == ranks
+
+    def test_ranks_are_taken_from_the_comparison(self, example2, monkeypatch):
+        entropy = entropy_weights(example2)
+        dwm = dwm_weights(example2)
+        comparison = compare_weights(entropy[0], dwm[0])
+        calls = []
+        monkeypatch.setattr(matrix_io, "rank_desc", lambda v: calls.append(v))
+        report = build_report(
+            example2.criterion_names,
+            "sha256:0",
+            entropy=entropy,
+            dwm=dwm,
+            comparison=comparison,
+        )
+        assert calls == []
+        assert report["entropy"]["ranks"] == list(comparison.ranks_a)
+        assert report["dwm"]["ranks"] == list(comparison.ranks_b)
+
+    def test_comparison_of_another_criteria_count_rejected(self, example1):
+        entropy = entropy_weights(example1)
+        dwm = dwm_weights(example1)
+        tail = entropy[0].weights[1:]
+        shorter = WeightVector(tail / tail.sum(), "entropy")
+        with pytest.raises(ValueError, match="^comparison ranks 4 weights, not 5$"):
+            build_report(
+                example1.criterion_names,
+                "sha256:0",
+                entropy=entropy,
+                dwm=dwm,
+                comparison=compare_weights(shorter, shorter),
+            )
 
     def test_single_method_omits_comparison(self, example1):
         report = build_report(
