@@ -73,20 +73,6 @@ def rank_desc(values) -> tuple[int, ...]:
     return tuple(ranks.tolist())
 
 
-def _is_rank_desc(ranks: tuple[int, ...], values: np.ndarray) -> bool:
-    """Whether ``ranks`` equals ``rank_desc(values)`` for a permutation
-    ``ranks`` and finite ``values``, checked in one pass without a sort."""
-    if len(ranks) != len(values):
-        return False
-    # order[k] is the index ranked k + 1; rank_desc lists the values
-    # descending, a tie by the lower index first
-    order = np.empty(len(ranks), dtype=np.intp)
-    order[np.subtract(ranks, 1)] = np.arange(len(ranks))
-    v = values[order]
-    step = (v[:-1] > v[1:]) | ((v[:-1] == v[1:]) & (order[:-1] < order[1:]))
-    return bool(step.all())
-
-
 def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 

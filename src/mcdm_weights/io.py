@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import ComparisonReport, _is_rank_desc, rank_desc
+from .compare import ComparisonReport, rank_desc
 from .dispersion import DispersionBreakdown
 from .entropy import EntropyBreakdown
 from .errors import DimensionMismatch, ParseError, UnknownGrade
@@ -337,10 +337,9 @@ def build_report(
 
     Ranks are extracted before quantization; printed values are rounded to
     6 decimals, exceeding the precision of any weight this tool emits.
-    Blocks for methods that did not run are omitted. ``comparison`` must be
-    ``compare_weights(entropy[0], dwm[0])``: each block takes its ranks from
-    it, and ranks its own weights only where the comparison's ranks are not
-    theirs.
+    Blocks for methods that did not run are omitted. Each method block ranks
+    its own weights; the comparison block holds only ``comparison``'s
+    statistics.
 
     Raises:
         ValueError: a note contains a line break, which a CSV report could
@@ -359,24 +358,15 @@ def build_report(
     if notes:
         doc["notes"] = list(notes)
     sources = {}
-    ranked = {}
     if comparison is not None:
+        n = len(comparison.ranks_a)
+        if n != len(criteria):
+            raise ValueError(f"comparison ranks {n} weights, not {len(criteria)}")
         sources["comparison"] = vars(comparison)
-        ranked = {"entropy": comparison.ranks_a, "dwm": comparison.ranks_b}
-        for ranks in ranked.values():
-            if len(ranks) != len(criteria):
-                raise ValueError(
-                    f"comparison ranks {len(ranks)} weights, not {len(criteria)}"
-                )
     for block, result in (("entropy", entropy), ("dwm", dwm)):
         if result is not None:
-            # a method block reads its breakdown, its weight vector's
-            # weights, and the ranks of those weights, which the comparison
-            # holds unless it was made from other weights
             weights, breakdown = result
-            ranks = ranked.get(block)
-            if ranks is None or not _is_rank_desc(ranks, weights.weights):
-                ranks = rank_desc(weights.weights)
+            ranks = rank_desc(weights.weights)
             sources[block] = {**vars(breakdown), **vars(weights), "ranks": ranks}
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:

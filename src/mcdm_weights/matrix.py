@@ -300,13 +300,26 @@ def validate_matrix(
     return DecisionMatrix(alternatives=alternatives, criteria=specs, values=grid)
 
 
+def _is_pair(value, kinds: tuple[type, ...]) -> bool:
+    # concrete types, not the ``numbers`` ABCs: the agreement bench checks
+    # its dims and range once per trial, and an ABC check costs far more
+    return (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and isinstance(value[0], kinds)
+        and isinstance(value[1], kinds)
+    )
+
+
 def _check_draw(dims: tuple[int, int], value_range: tuple[float, float]) -> None:
     """:func:`generate_matrix`'s dims and range rules, which the agreement
     bench also checks before it draws anything."""
+    if not _is_pair(dims, (int, np.integer)):
+        raise BadDims(f"dims must be integers (rows, cols), got {dims!r}")
+    if not _is_pair(value_range, (int, float, np.integer, np.floating)):
+        raise BadRange(f"range must be real numbers (lo, hi), got {value_range!r}")
     n_rows, n_cols = dims
     lo, hi = value_range
-    if not all(isinstance(n, (int, np.integer)) for n in dims):
-        raise BadDims(f"dims must be integers, got {dims!r}")
     if n_rows < 2 or n_cols < 1:
         raise BadDims(f"dims must be at least 2x1, got {n_rows}x{n_cols}")
     # an infinite bound, or a width past the float range, leaves hi - lo infinite
@@ -325,8 +338,10 @@ def generate_matrix(
     yields the same matrix.
 
     Raises:
-        BadDims: dims that are not integers, fewer than 2 rows or no column.
-        BadRange: ``lo >= hi``, or an infinite ``hi - lo``.
+        BadDims: dims that are not a tuple or list of two ints (numpy's
+            included), fewer than 2 rows or no column.
+        BadRange: a range that is not a tuple or list of two ints or floats
+            (numpy's included), ``lo >= hi``, or an infinite ``hi - lo``.
     """
     _check_draw(dims, value_range)
     grid = np.random.default_rng(seed).uniform(*value_range, size=dims)

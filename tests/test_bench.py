@@ -165,7 +165,9 @@ def test_non_integer_trials_seed_or_workers_raise_input_error(trials, seed, work
     assert type(caught.value) is InputError
 
 
-@pytest.mark.parametrize("dims", [(4.0, 5), (4, 5.5), (4, "5")])
+@pytest.mark.parametrize(
+    "dims", [(4.0, 5), (4, 5.5), (4, "5"), (4,), 5, (4, 5, 6), "45", None]
+)
 def test_non_integer_dims_raise_bad_dims(dims):
     with pytest.raises(BadDims, match="must be integers"):
         run_benchmark(3, 0, dims, (1.0, 100.0))

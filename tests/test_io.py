@@ -443,23 +443,6 @@ class TestReports:
             for block, ranks in expected.items():
                 assert report[block]["ranks"] == ranks
 
-    def test_ranks_are_taken_from_the_comparison(self, example2, monkeypatch):
-        entropy = entropy_weights(example2)
-        dwm = dwm_weights(example2)
-        comparison = compare_weights(entropy[0], dwm[0])
-        calls = []
-        monkeypatch.setattr(matrix_io, "rank_desc", lambda v: calls.append(v))
-        report = build_report(
-            example2.criterion_names,
-            "sha256:0",
-            entropy=entropy,
-            dwm=dwm,
-            comparison=comparison,
-        )
-        assert calls == []
-        assert report["entropy"]["ranks"] == list(comparison.ranks_a)
-        assert report["dwm"]["ranks"] == list(comparison.ranks_b)
-
     def test_comparison_of_another_criteria_count_rejected(self, example1):
         entropy = entropy_weights(example1)
         dwm = dwm_weights(example1)

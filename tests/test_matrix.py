@@ -194,6 +194,10 @@ class TestGenerateMatrix:
             generate_matrix(0, (4, 5), (2.0, 2.0))
         with pytest.raises(BadRange):
             generate_matrix(0, (4, 5), (5.0, 1.0))
+        # a range that is not a pair of real numbers
+        for value_range in [(1.0,), (1.0, 2.0, 3.0), ("a", "b"), (1.0, "2"), 1.0]:
+            with pytest.raises(BadRange, match="must be real numbers"):
+                generate_matrix(0, (4, 5), value_range)
 
     def test_range_wider_than_floats_rejected(self):
         # both bounds are finite, but hi - lo is not
