@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compare import compare_weights, pearson
+from .compare import _pearson_rows, compare_weights
 from .dispersion import _dwm_columns, dwm_weights
 from .entropy import entropy_weights
-from .errors import ConstantVector, InputError, LengthMismatch, MethodError
+from .errors import InputError, MethodError
 from .io import (
     _q6,
     build_report,
@@ -127,10 +127,12 @@ def run_benchmark(
     Trial t weighs ``generate_matrix(SeedSequence((seed, t))
     .generate_state(1)[0], dims, value_range)`` by both methods. The trial
     seeds are taken in one vectorized pass. Each trial's matrix is drawn
-    and weighed by entropy on its own, into one ``(trials, A, C)`` stack;
-    one dispersion pass then weighs the whole stack, with the bits
-    ``dwm_weights`` gives each matrix. The trials in which both methods
-    succeed are compared one at a time, in trial order.
+    and weighed by entropy on its own, into one ``(trials, A, C)`` stack; a
+    matrix with a negative entry is counted as an entropy failure without
+    the call, since ``entropy_weights`` would raise ``NegativeEntry``. One
+    dispersion pass then weighs the whole stack, and one Pearson pass
+    compares the trials in which both methods succeed, each with the bits
+    ``dwm_weights`` and ``pearson`` give one matrix.
 
     ``workers`` is accepted and changes nothing: the work holds the GIL, so
     a second thread would only take turns with the first. It runs as one
@@ -159,6 +161,11 @@ def run_benchmark(
         for t, trial_seed in enumerate(_trial_seeds(seed, trials).tolist()):
             matrix = generate_matrix(trial_seed, dims, value_range)
             stack[t] = matrix.values
+            # normalize_columns refuses a negative entry before any other
+            # check, so entropy could only raise NegativeEntry here
+            if np.count_nonzero(matrix.values < 0.0):
+                entropy_ok[t] = False
+                continue
             try:
                 entropy[t] = entropy_weights(matrix)[0].weights
             except MethodError:
@@ -171,12 +178,10 @@ def run_benchmark(
         wd = cvs[both]
         wd /= np.add.reduce(wd, -1, keepdims=True)
 
-        pearsons = []
-        for x, y in zip(we, wd):
-            try:
-                pearsons.append(pearson(x, y))
-            except (ConstantVector, LengthMismatch):
-                pass
+        # a constant pair has no r, and neither has a one-criterion pair,
+        # whose rows are constant: such a trial is compared but adds no r
+        r, constant = _pearson_rows(we, wd)
+        pearsons = r[~constant].tolist()
         # first maximum on both sides: rank_desc breaks ties by lower index
         agreements = np.count_nonzero(np.argmax(we, -1) == np.argmax(wd, -1))
         return entropy_ok, dwm_ok, pearsons, int(agreements)

@@ -7,7 +7,6 @@ Spearman's rho, and per-criterion rank agreement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +72,33 @@ def rank_desc(values) -> tuple[int, ...]:
     return tuple(ranks.tolist())
 
 
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson's r of each row pair of two ``(..., n)`` float64 stacks.
+
+    Returns ``(r, constant)``: r per row, and the rows in which either
+    vector has zero variance, whose r is NaN. A one-point row is constant.
+    Each row gets the bits that its 1-D vectors give alone: the mean is
+    ``np.mean``'s sum over the row, and each sum of products is a
+    ``(1, n) @ (n, 1)`` matmul, the dot product ``dx @ dy`` takes on 1-D
+    vectors (``np.einsum`` rounds differently). Both take that order only
+    over contiguous rows, so the stacks are made C-contiguous first.
+    """
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    n = x.shape[-1]
+    dx = x - np.add.reduce(x, -1, keepdims=True) / n
+    dy = y - np.add.reduce(y, -1, keepdims=True) / n
+
+    def dot(a, b):
+        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+    sxx, syy, sxy = dot(dx, dx), dot(dy, dy), dot(dx, dy)
+    constant = (sxx == 0.0) | (syy == 0.0)
+    r = np.full(constant.shape, np.nan)
+    # sqrt is correctly rounded in numpy as in math, so the bits match
+    np.divide(sxy, np.sqrt(sxx * syy), out=r, where=~constant)
+    return r, constant
+
+
 def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 
@@ -86,14 +112,10 @@ def pearson(x, y) -> float:
         raise LengthMismatch(f"got shapes {xs.shape} and {ys.shape}")
     if xs.size < 2:
         raise LengthMismatch("need at least 2 points")
-    # xs.mean() bit for bit, without its Python wrapper
-    dx = xs - xs.sum() / xs.size
-    dy = ys - ys.sum() / ys.size
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
+    r, constant = _pearson_rows(xs, ys)
+    if constant:
         raise ConstantVector("correlation of a constant vector is undefined")
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+    return float(r)
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:

@@ -339,12 +339,16 @@ def build_report(
     6 decimals, exceeding the precision of any weight this tool emits.
     Blocks for methods that did not run are omitted. Each method block ranks
     its own weights; the comparison block holds only ``comparison``'s
-    statistics.
+    statistics, which must be ``compare_weights(entropy[0], dwm[0])``. A
+    ``ComparisonReport`` holds no weights, so only its ranks are checked: a
+    comparison of other weights that rank alike still passes.
 
     Raises:
         ValueError: a note contains a line break, which a CSV report could
-            not carry on its one ``# note=`` line, or the comparison ranks a
-            number of weights other than the criteria count.
+            not carry on its one ``# note=`` line; the comparison ranks a
+            number of weights other than the criteria count; or its
+            ``ranks_a`` or ``ranks_b`` differ from the ranks of the entropy
+            or dwm block.
     """
     doc: ReportDocument = {
         "schema": REPORT_SCHEMA,
@@ -363,10 +367,13 @@ def build_report(
         if n != len(criteria):
             raise ValueError(f"comparison ranks {n} weights, not {len(criteria)}")
         sources["comparison"] = vars(comparison)
-    for block, result in (("entropy", entropy), ("dwm", dwm)):
+    blocks = (("entropy", entropy, "ranks_a"), ("dwm", dwm, "ranks_b"))
+    for block, result, side in blocks:
         if result is not None:
             weights, breakdown = result
             ranks = rank_desc(weights.weights)
+            if comparison is not None and getattr(comparison, side) != ranks:
+                raise ValueError(f"comparison {side} differ from the {block} ranks")
             sources[block] = {**vars(breakdown), **vars(weights), "ranks": ranks}
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:

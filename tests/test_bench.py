@@ -27,6 +27,7 @@ from mcdm_weights import (
 )
 from mcdm_weights import cli
 from mcdm_weights.cli import BENCH_SCHEMA, _trial_seeds, emit_bench, run_benchmark
+from mcdm_weights.compare import _pearson_rows
 
 RANGES = [
     (1.0, 100.0),
@@ -102,11 +103,11 @@ def test_bench_compares_the_public_weights_bit_for_bit(monkeypatch, dims):
     # carry the public weighers' bits, in trial order
     seen = []
 
-    def recording_pearson(x, y):
-        seen.append((x.tobytes(), y.tobytes()))
-        return pearson(x, y)
+    def recording_pearson_rows(x, y):
+        seen.extend((a.tobytes(), b.tobytes()) for a, b in zip(x, y))
+        return _pearson_rows(x, y)
 
-    monkeypatch.setattr(cli, "pearson", recording_pearson)
+    monkeypatch.setattr(cli, "_pearson_rows", recording_pearson_rows)
     run_benchmark(300, 3, dims, (-5.0, 100.0))
     want = []
     for t in range(300):
@@ -119,6 +120,28 @@ def test_bench_compares_the_public_weights_bit_for_bit(monkeypatch, dims):
         want.append(tuple(w.tobytes() for w in pair))
     assert len(want) > 20
     assert seen == want
+
+
+def test_entropy_is_not_called_on_a_trial_with_a_negative_entry(monkeypatch):
+    # normalize_columns refuses such a grid first, so the bench counts the
+    # failure without the call; every other trial is still weighed
+    seen = []
+
+    def recording_entropy_weights(matrix):
+        seen.append(matrix.values.tobytes())
+        return entropy_weights(matrix)
+
+    monkeypatch.setattr(cli, "entropy_weights", recording_entropy_weights)
+    summary = run_benchmark(300, 3, (4, 5), (-5.0, 100.0))
+    want = []
+    for t in range(300):
+        trial_seed = int(np.random.SeedSequence((3, t)).generate_state(1)[0])
+        values = generate_matrix(trial_seed, (4, 5), (-5.0, 100.0)).values
+        if values.min() >= 0.0:
+            want.append(values.tobytes())
+    assert 50 < len(want) < 250
+    assert seen == want
+    assert summary.entropy_failures == 300 - len(want)
 
 
 def test_tied_top_weights_agree_on_the_first_maximum(monkeypatch):

@@ -22,7 +22,7 @@ from mcdm_weights import (
     validate_matrix,
 )
 
-from mcdm_weights.compare import _fractional_ranks
+from mcdm_weights.compare import _fractional_ranks, _pearson_rows
 
 import golden
 from oracles import oracle_pearson, oracle_rank_desc
@@ -127,24 +127,46 @@ class TestRankDesc:
             assert rank_desc(values) == tuple(oracle_rank_desc(values.tolist()))
 
 
+def stacked_pearson(x, y):
+    """``pearson`` through the row kernel: the pair is the middle row of a
+    Fortran-ordered stack, between a constant row and a random one."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    noise = np.random.default_rng(x.size).uniform(-1.0, 1.0, x.size)
+    xs = np.asfortranarray([np.full(x.size, 2.0), x, noise])
+    ys = np.asfortranarray([noise, y, noise[::-1]])
+    r, constant = _pearson_rows(xs, ys)
+    assert constant[0]
+    if constant[1]:
+        raise ConstantVector("flagged by the row kernel")
+    return float(r[1])
+
+
+#: the wrapper and the kernel's stacked case must pass the same cases
+BOTH_WAYS = (pearson, stacked_pearson)
+
+
 class TestPearson:
     def test_affine_cases(self):
         x = [1.0, 2.0, 5.0, 9.0]
-        assert pearson(x, [3 * v + 1 for v in x]) == pytest.approx(1.0, abs=1e-12)
-        assert pearson(x, [-v for v in x]) == pytest.approx(-1.0, abs=1e-12)
+        for corr in BOTH_WAYS:
+            assert corr(x, [3 * v + 1 for v in x]) == pytest.approx(1.0, abs=1e-12)
+            assert corr(x, [-v for v in x]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, 20)
         y = rng.uniform(0, 1, 20)
-        assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-15)
+        for corr in BOTH_WAYS:
+            assert corr(x, y) == pytest.approx(corr(y, x), abs=1e-15)
 
     def test_example1_weight_pair(self, example1):
         we, _ = entropy_weights(example1)
         wd, _ = dwm_weights(example1)
-        r = pearson(we.weights, wd.weights)
-        assert r == pytest.approx(golden.EXAMPLE1_PEARSON_ORACLE, abs=1e-12)
-        assert r == pytest.approx(golden.EXAMPLE1_PEARSON_PUBLISHED, abs=2e-3)
+        for corr in BOTH_WAYS:
+            r = corr(we.weights, wd.weights)
+            assert r == pytest.approx(golden.EXAMPLE1_PEARSON_ORACLE, abs=1e-12)
+            assert r == pytest.approx(golden.EXAMPLE1_PEARSON_PUBLISHED, abs=2e-3)
 
     def test_example2_published_pair_reproduces_spss_value(self):
         # the published .980 came from the comparison table as printed
@@ -153,9 +175,10 @@ class TestPearson:
             golden.EXAMPLE2_COMPARISON_DWM_W_AS_PRINTED[c]
             for c in golden.EXAMPLE2_CODES
         ]
-        assert pearson(entropy_w, dwm_w) == pytest.approx(
-            golden.EXAMPLE2_PEARSON_PUBLISHED, abs=2e-3
-        )
+        for corr in BOTH_WAYS:
+            assert corr(entropy_w, dwm_w) == pytest.approx(
+                golden.EXAMPLE2_PEARSON_PUBLISHED, abs=2e-3
+            )
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -164,8 +187,11 @@ class TestPearson:
             pearson([1.0], [2.0])
 
     def test_constant_vector(self):
-        with pytest.raises(ConstantVector):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        for corr in BOTH_WAYS:
+            with pytest.raises(ConstantVector):
+                corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            with pytest.raises(ConstantVector):
+                corr([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
 
     def test_matches_oracle_and_scipy(self):
         rng = np.random.default_rng(17)
@@ -173,9 +199,33 @@ class TestPearson:
             n = int(rng.integers(2, 30))
             x = rng.uniform(-5, 5, n)
             y = rng.uniform(-5, 5, n)
-            r = pearson(x, y)
-            assert r == pytest.approx(oracle_pearson(list(x), list(y)), abs=1e-12)
-            assert r == pytest.approx(stats.pearsonr(x, y).statistic, abs=1e-12)
+            for corr in BOTH_WAYS:
+                r = corr(x, y)
+                assert r == pytest.approx(oracle_pearson(list(x), list(y)), abs=1e-12)
+                assert r == pytest.approx(stats.pearsonr(x, y).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_equal_pearson_bit_for_bit(self, order):
+        # rows of 1 to 33 points at scales 1e-9 to 1e9; one-point rows and
+        # rows holding one exact value are flagged constant, and only they
+        rng = np.random.default_rng(29)
+        for n in range(1, 34):
+            scale = 10.0 ** rng.uniform(-9, 9, (2, 30, 1))
+            x = rng.uniform(-5.0, 100.0, (2, 30, n)) * scale
+            y = rng.uniform(-5.0, 100.0, (2, 30, n)) * scale
+            x[0, ::4] = rng.integers(-9, 9, (8, 1))
+            y[1, ::5] = 7.0
+            x, y = np.asarray(x, order=order), np.asarray(y, order=order)
+            r, constant = _pearson_rows(x, y)
+            assert r.shape == constant.shape == (2, 30)
+            for i in np.ndindex(2, 30):
+                try:
+                    want = pearson(x[i], y[i])
+                except (ConstantVector, LengthMismatch):
+                    assert constant[i] and np.isnan(r[i])
+                    continue
+                assert not constant[i]
+                assert r[i] == want
 
 
 class TestSpearman:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcdm_weights import entropy_weights, validate_matrix
+from mcdm_weights import dwm_weights, entropy_weights, validate_matrix
 
 #: deterministic and bounded, so the suite stays reproducible and fast
 FIXED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -40,26 +40,28 @@ def column_shapes(draw, rows):
 
 
 @st.composite
-def near_uniform_grids(draw):
-    """A grid of 2 to 8 rows whose largest column CV lies in [1e-3, 0.1].
+def near_uniform_grids(draw, least_top_cv=1e-3, least_fraction=0.0):
+    """A grid of 2 to 8 rows whose largest column CV lies in
+    [least_top_cv, 0.1].
 
     Column j is ``level_j * (1 + cv_j * z_j)``, with ``z_j`` its shape
     standardized to mean 0 and standard deviation 1, and ``cv_j`` a drawn
-    fraction of the largest CV (column 0 takes the largest itself). A
-    constant shape gives a constant column.
+    fraction, at least ``least_fraction``, of the largest CV (column 0
+    takes the largest itself). A constant shape gives a constant column,
+    unless the column must reach a CV above 0.
     """
     rows = draw(st.integers(2, 8))
     cols = draw(st.integers(2, 5))
-    top_cv = draw(st.floats(1e-3, 0.1))
+    top_cv = draw(st.floats(least_top_cv, 0.1))
     grid = np.empty((rows, cols))
     for j in range(cols):
         shape = draw(column_shapes(rows))
         spread = shape.std()
-        if j == 0 and spread == 0.0:
-            shape[0] += 1.0  # column 0 must reach the largest CV
+        if (j == 0 or least_fraction) and spread == 0.0:
+            shape[0] += 1.0  # the column must reach its drawn CV
             spread = shape.std()
         z = (shape - shape.mean()) / spread if spread > 0.0 else np.zeros(rows)
-        cv = top_cv * (1.0 if j == 0 else draw(st.floats(0.0, 1.0)))
+        cv = top_cv * (1.0 if j == 0 else draw(st.floats(least_fraction, 1.0)))
         level = 10.0 ** draw(st.integers(-3, 3))
         # |z| <= sqrt(rows - 1) < 2.7, so every entry stays positive
         grid[:, j] = level * (1.0 + cv * z)
@@ -73,3 +75,42 @@ def test_entropy_weights_approach_the_cv_squared_law(grid):
     law = cv**2 / (cv**2).sum()
     weights, _ = entropy_weights(validate_matrix(grid))
     assert np.abs(weights.weights - law).max() <= cv.max()
+
+
+def column_0_elasticity(method, grid, eps=1e-4):
+    """``d ln w_0 / d ln s_0`` by a central difference, where column 0's
+    deviations about its mean are scaled by ``1 ± eps``; and ``w_0``."""
+    log_weights = []
+    for step in (eps, -eps):
+        moved = grid.copy()
+        mean = moved[:, 0].mean()
+        moved[:, 0] = mean + (1.0 + step) * (moved[:, 0] - mean)
+        log_weights.append(np.log(method(validate_matrix(moved))[0].weights[0]))
+    w0 = method(validate_matrix(grid))[0].weights[0]
+    return (log_weights[0] - log_weights[1]) / (np.log1p(eps) - np.log1p(-eps)), w0
+
+
+@FIXED
+@given(grid=near_uniform_grids(least_top_cv=1e-2, least_fraction=0.1))
+def test_entropy_weights_react_twice_as_strongly_to_spread(grid):
+    # w_j ∝ s_j**k gives d ln w_j / d ln s_j = k (1 - w_j): DWM is k = 1
+    # exactly, and entropy, with d ∝ CV² (1 - γ CV / 3 + κ CV² / 6 + ...),
+    # is k = 2 - γ CV / 3 + (κ / 3 - γ² / 9) CV² + ... . Column 0's CV is at
+    # least 1e-2, where entropy's 1 - E keeps enough digits for the
+    # difference, and every other column's CV is at least a tenth of it, so
+    # no weight is near 1.
+    elasticity, w0 = column_0_elasticity(dwm_weights, grid)
+    # the central difference errs by about eps² = 1e-8
+    assert abs(elasticity - (1.0 - w0)) <= 1e-7
+
+    column = grid[:, 0]
+    z = (column - column.mean()) / column.std()
+    cv = column.std() / column.mean()
+    skewness, kurtosis = (z**3).mean(), (z**4).mean()
+    elasticity, w0 = column_0_elasticity(entropy_weights, grid)
+    k = elasticity / (1.0 - w0)
+    # κ >= γ² + 1, so the second-order term lies in (0, κ CV² / 3]; the
+    # bound leaves κ CV² / 6 for the terms beyond it
+    assert abs(k - (2.0 - skewness * cv / 3)) <= kurtosis * cv**2 / 2
+    # hence k = 2 to leading order
+    assert abs(k - 2.0) <= abs(skewness) * cv / 3 + kurtosis * cv**2 / 2

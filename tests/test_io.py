@@ -427,21 +427,31 @@ class TestReports:
             "dwm": list(rank_desc(dwm[0].weights)),
         }
         assert expected["entropy"] != expected["dwm"]
-        # a comparison of the swapped pair, and one that never saw the dwm
-        # weights, both leave each block with the ranks of its own weights
-        for comparison in (
-            compare_weights(dwm[0], entropy[0]),
-            compare_weights(entropy[0], entropy[0]),
+        report = build_report(
+            example2.criterion_names,
+            "sha256:0",
+            entropy=entropy,
+            dwm=dwm,
+            comparison=compare_weights(entropy[0], dwm[0]),
+        )
+        for block, ranks in expected.items():
+            assert report[block]["ranks"] == ranks
+        # the swapped pair, and a comparison that never saw the dwm weights,
+        # would print statistics the blocks were not computed from
+        for comparison, side, block in (
+            (compare_weights(dwm[0], entropy[0]), "ranks_a", "entropy"),
+            (compare_weights(entropy[0], entropy[0]), "ranks_b", "dwm"),
         ):
-            report = build_report(
-                example2.criterion_names,
-                "sha256:0",
-                entropy=entropy,
-                dwm=dwm,
-                comparison=comparison,
-            )
-            for block, ranks in expected.items():
-                assert report[block]["ranks"] == ranks
+            with pytest.raises(
+                ValueError, match=f"^comparison {side} differ from the {block} ranks$"
+            ):
+                build_report(
+                    example2.criterion_names,
+                    "sha256:0",
+                    entropy=entropy,
+                    dwm=dwm,
+                    comparison=comparison,
+                )
 
     def test_comparison_of_another_criteria_count_rejected(self, example1):
         entropy = entropy_weights(example1)
