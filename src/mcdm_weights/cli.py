@@ -140,17 +140,17 @@ def run_benchmark(
     fake executor.
 
     Raises:
-        InputError: ``trials``, ``seed`` or ``workers`` not an integer,
-            ``trials`` or ``seed`` below 0, or ``workers`` below 1.
-        BadDims, BadRange: as :func:`generate_matrix` raises them.
+        InputError: ``trials`` or ``workers`` not an integer, ``trials``
+            below 0, or ``workers`` below 1.
+        InputError, BadDims, BadRange: on a seed, dims or range that
+            :func:`generate_matrix` refuses.
     """
-    limits = (("trials", trials, 0), ("seed", seed, 0), ("workers", workers, 1))
-    for name, value, least in limits:
+    for name, value, least in (("trials", trials, 0), ("workers", workers, 1)):
         if not isinstance(value, (int, np.integer)):
             raise InputError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise InputError(f"{name} must be at least {least}, got {value}")
-    _check_draw(dims, value_range)
+    _check_draw(seed, dims, value_range)
     # numpy integers pass the checks; the seed hash and the JSON want int
     trials, seed, dims = int(trials), int(seed), (int(dims[0]), int(dims[1]))
 

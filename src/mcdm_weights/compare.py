@@ -23,7 +23,7 @@ class ComparisonReport:
 
     Holds ranks and statistics only; the caller keeps the weight vectors.
     ``pearson`` and ``spearman`` are None when either weight vector is
-    constant, which leaves the correlation undefined.
+    constant (a single weight counts), leaving the correlation undefined.
     """
 
     ranks_a: tuple[int, ...]
@@ -142,16 +142,13 @@ def compare_weights(a: WeightVector, b: WeightVector) -> ComparisonReport:
         raise DimensionMismatch(f"{len(a)} vs {len(b)} criteria")
     ranks_a = rank_desc(a.weights)
     ranks_b = rank_desc(b.weights)
-    # a constant pair (or a single criterion) leaves correlation undefined;
-    # report not-applicable rather than failing the whole comparison
-    try:
-        r = pearson(a.weights, b.weights)
-    except (ConstantVector, LengthMismatch):
-        r = None
-    try:
-        rho = spearman(a.weights, b.weights)
-    except (ConstantVector, LengthMismatch):
-        rho = None
+    # row 0 gives r, row 1 rho (r over average ranks); a row with a constant
+    # side, as every one-criterion row is, has no correlation: None, not an error
+    rows, constant = _pearson_rows(
+        np.stack([a.weights, _fractional_ranks(a.weights)]),
+        np.stack([b.weights, _fractional_ranks(b.weights)]),
+    )
+    r, rho = (None if c else v for v, c in zip(rows.tolist(), constant.tolist()))
     agreements = sum(ra == rb for ra, rb in zip(ranks_a, ranks_b))
     return ComparisonReport(
         ranks_a=ranks_a,

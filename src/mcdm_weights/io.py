@@ -345,10 +345,10 @@ def build_report(
 
     Raises:
         ValueError: a note contains a line break, which a CSV report could
-            not carry on its one ``# note=`` line; the comparison ranks a
-            number of weights other than the criteria count; or its
-            ``ranks_a`` or ``ranks_b`` differ from the ranks of the entropy
-            or dwm block.
+            not carry on its one ``# note=`` line; a method block's weights
+            or breakdown fields, or the comparison's ranks, number other
+            than the criteria; or the comparison's ``ranks_a`` or
+            ``ranks_b`` differ from the ranks of the entropy or dwm block.
     """
     doc: ReportDocument = {
         "schema": REPORT_SCHEMA,
@@ -371,10 +371,16 @@ def build_report(
     for block, result, side in blocks:
         if result is not None:
             weights, breakdown = result
+            fields = {**vars(weights), **vars(breakdown)}
+            for key, value in fields.items():
+                if isinstance(value, np.ndarray) and len(value) != len(criteria):
+                    raise ValueError(
+                        f"{block} {key} has {len(value)} values, not {len(criteria)}"
+                    )
             ranks = rank_desc(weights.weights)
             if comparison is not None and getattr(comparison, side) != ranks:
                 raise ValueError(f"comparison {side} differ from the {block} ranks")
-            sources[block] = {**vars(breakdown), **vars(weights), "ranks": ranks}
+            sources[block] = {**fields, "ranks": ranks}
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:
             doc.setdefault(block, {})[key] = _q6(sources[block][key])

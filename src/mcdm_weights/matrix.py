@@ -17,6 +17,7 @@ from .errors import (
     BadDims,
     BadRange,
     DuplicateCriterionName,
+    InputError,
     NonFiniteValue,
     NonRectangular,
     TooFewAlternatives,
@@ -311,9 +312,16 @@ def _is_pair(value, kinds: tuple[type, ...]) -> bool:
     )
 
 
-def _check_draw(dims: tuple[int, int], value_range: tuple[float, float]) -> None:
-    """:func:`generate_matrix`'s dims and range rules, which the agreement
-    bench also checks before it draws anything."""
+def _check_draw(
+    seed: int, dims: tuple[int, int], value_range: tuple[float, float]
+) -> None:
+    """:func:`generate_matrix`'s seed, dims and range rules, which the
+    agreement bench also checks before it draws anything."""
+    # numpy would draw a None seed from OS entropy, so two calls would differ
+    if not isinstance(seed, (int, np.integer)):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     if not _is_pair(dims, (int, np.integer)):
         raise BadDims(f"dims must be integers (rows, cols), got {dims!r}")
     if not _is_pair(value_range, (int, float, np.integer, np.floating)):
@@ -338,11 +346,13 @@ def generate_matrix(
     yields the same matrix.
 
     Raises:
+        InputError: a seed that is not an int (numpy's included) or is
+            below 0.
         BadDims: dims that are not a tuple or list of two ints (numpy's
             included), fewer than 2 rows or no column.
         BadRange: a range that is not a tuple or list of two ints or floats
             (numpy's included), ``lo >= hi``, or an infinite ``hi - lo``.
     """
-    _check_draw(dims, value_range)
+    _check_draw(seed, dims, value_range)
     grid = np.random.default_rng(seed).uniform(*value_range, size=dims)
     return validate_matrix(grid)

@@ -8,6 +8,7 @@ output bytes must equal this oracle's.
 """
 
 import json
+import re
 import statistics
 
 import numpy as np
@@ -196,6 +197,30 @@ def test_non_integer_dims_raise_bad_dims(dims):
         run_benchmark(3, 0, dims, (1.0, 100.0))
     with pytest.raises(BadDims, match="must be integers"):
         generate_matrix(0, dims, (1.0, 100.0))
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (None, "seed must be an integer, got None"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("7", "seed must be an integer, got '7'"),
+        (np.float64(2.0), f"seed must be an integer, got {np.float64(2.0)!r}"),
+        (-1, "seed must be at least 0, got -1"),
+        (np.int64(-3), "seed must be at least 0, got -3"),
+    ],
+    ids=["None", "float", "str", "np.float64", "negative", "negative-np.int64"],
+)
+def test_bad_seed_raises_the_same_input_error_from_both(seed, message):
+    # unchecked, generate_matrix drew a None seed from OS entropy and left
+    # the rest to numpy's ValueError or TypeError
+    for draw in (
+        lambda: run_benchmark(3, seed, (4, 5), (1.0, 100.0)),
+        lambda: generate_matrix(seed, (4, 5), (1.0, 100.0)),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$") as caught:
+            draw()
+        assert type(caught.value) is InputError
 
 
 def test_numpy_integer_arguments_run_as_python_ints():

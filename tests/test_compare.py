@@ -315,12 +315,26 @@ class TestCompareMethods:
         assert report.rank_agreements == 2
 
     def test_agreement_count_spot_check(self):
-        a = WeightVector((0.5, 0.3, 0.2), "entropy")
-        b = WeightVector((0.2, 0.3, 0.5), "dwm")
-        report = compare_weights(a, b)
-        assert report.ranks_a == (1, 2, 3)
-        assert report.ranks_b == (3, 2, 1)
-        assert report.rank_agreements == 1
+        cases = [
+            ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (1, 2, 3), (3, 2, 1), 1),
+            # tied weights share their average rank in rho, not in the ranks
+            ((0.4, 0.4, 0.2), (0.2, 0.5, 0.3), (1, 2, 3), (3, 1, 2), 0),
+            # one constant side leaves both correlations undefined
+            ((0.25,) * 4, (0.1, 0.2, 0.3, 0.4), (1, 2, 3, 4), (4, 3, 2, 1), 0),
+        ]
+        for a, b, ranks_a, ranks_b, agreements in cases:
+            report = compare_weights(WeightVector(a, "entropy"), WeightVector(b, "dwm"))
+            assert report.ranks_a == ranks_a
+            assert report.ranks_b == ranks_b
+            assert report.rank_agreements == agreements
+            if len(set(a)) == 1:
+                assert report.pearson is report.spearman is None
+            else:
+                assert report.pearson == pearson(a, b)
+                assert report.spearman == spearman(a, b)
+                assert report.spearman == pytest.approx(
+                    stats.spearmanr(a, b).statistic, abs=1e-12
+                )
 
     def test_matches_sequential_weighers(self):
         for _, _, grid in random_matrices(20, seed=301):
@@ -330,6 +344,9 @@ class TestCompareMethods:
             wd, _ = dwm_weights(m)
             assert report.ranks_a == rank_desc(we.weights)
             assert report.ranks_b == rank_desc(wd.weights)
-            # one criterion leaves the correlation undefined
-            expected_r = pearson(we.weights, wd.weights) if len(we) > 1 else None
+            # one criterion leaves the correlations undefined
+            single = len(we) == 1
+            expected_r = None if single else pearson(we.weights, wd.weights)
+            expected_rho = None if single else spearman(we.weights, wd.weights)
             assert report.pearson == expected_r
+            assert report.spearman == expected_rho

@@ -467,6 +467,23 @@ class TestReports:
                 comparison=compare_weights(shorter, shorter),
             )
 
+    def test_method_block_of_another_criteria_count_rejected(self):
+        # unchecked, the CSV table raised IndexError on a short block and
+        # silently dropped the extra weights of a long one
+        two = validate_matrix([[1.0, 2.0], [3.0, 5.0]])
+        three = validate_matrix([[1.0, 2.0, 4.0], [3.0, 5.0, 1.0]])
+        mixed = (entropy_weights(three)[0], entropy_weights(two)[1])
+        cases = (
+            (("a", "b", "c"), {"entropy": entropy_weights(two)}, "entropy weights", 2),
+            (("a", "b"), {"dwm": dwm_weights(three)}, "dwm weights", 3),
+            (("a", "b", "c"), {"entropy": mixed}, "entropy entropy", 2),
+        )
+        for criteria, blocks, field, n in cases:
+            with pytest.raises(
+                ValueError, match=f"^{field} has {n} values, not {len(criteria)}$"
+            ):
+                build_report(criteria, "sha256:0", **blocks)
+
     def test_single_method_omits_comparison(self, example1):
         report = build_report(
             example1.criterion_names,
