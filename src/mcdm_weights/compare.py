@@ -7,6 +7,7 @@ Spearman's rho, and per-criterion rank agreement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,16 @@ class ComparisonReport:
 
     def __post_init__(self):
         for r in (self.pearson, self.spearman):
-            if r is not None and abs(r) > 1.0 + 1e-12:
+            # written so that NaN falls outside too
+            if r is not None and not abs(r) <= 1.0 + 1e-12:
                 raise ValueError(f"correlation {r!r} outside [-1, 1]")
         n = len(self.ranks_a)
         for ranks in (self.ranks_a, self.ranks_b):
-            if sorted(ranks) != list(range(1, n + 1)):
+            if len(ranks) != n or not set(ranks).issuperset(range(1, n + 1)):
                 raise ValueError("ranks must be a permutation of 1..C")
+        agree = sum(map(operator.eq, self.ranks_a, self.ranks_b))
+        if self.rank_agreements != agree:
+            raise ValueError(f"rank_agreements {self.rank_agreements!r}, not {agree}")
 
 
 def saw_scores(shares: np.ndarray, weights: WeightVector) -> np.ndarray:
@@ -72,18 +77,27 @@ def rank_desc(values) -> tuple[int, ...]:
     return tuple(ranks.tolist())
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    # each row times the power of two that brings its largest |value| into
+    # [0.5, 1); a power of two scales exactly
+    _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
+    return np.ldexp(v, -exponent)
+
+
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pearson's r of each row pair of two ``(..., n)`` float64 stacks.
 
     Returns ``(r, constant)``: r per row, and the rows in which either
     vector has zero variance, whose r is NaN. A one-point row is constant.
-    Each row gets the bits that its 1-D vectors give alone: the mean is
-    ``np.mean``'s sum over the row, and each sum of products is a
-    ``(1, n) @ (n, 1)`` matmul, the dot product ``dx @ dy`` takes on 1-D
-    vectors (``np.einsum`` rounds differently). Both take that order only
-    over contiguous rows, so the stacks are made C-contiguous first.
+    Each row is first scaled, exactly, by a power of two, so its sums do not
+    over- or underflow at extreme magnitudes. Each row gets the bits that
+    its 1-D vectors give alone: the mean is ``np.mean``'s sum over the row,
+    and each sum of products is a ``(1, n) @ (n, 1)`` matmul, the dot
+    product ``dx @ dy`` takes on 1-D vectors (``np.einsum`` rounds
+    differently). Both take that order only over contiguous rows, so the
+    stacks are made C-contiguous first.
     """
-    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    x, y = np.ascontiguousarray(_unit_rows(x)), np.ascontiguousarray(_unit_rows(y))
     n = x.shape[-1]
     dx = x - np.add.reduce(x, -1, keepdims=True) / n
     dy = y - np.add.reduce(y, -1, keepdims=True) / n
@@ -149,14 +163,8 @@ def compare_weights(a: WeightVector, b: WeightVector) -> ComparisonReport:
         np.stack([b.weights, _fractional_ranks(b.weights)]),
     )
     r, rho = (None if c else v for v, c in zip(rows.tolist(), constant.tolist()))
-    agreements = sum(ra == rb for ra, rb in zip(ranks_a, ranks_b))
-    return ComparisonReport(
-        ranks_a=ranks_a,
-        ranks_b=ranks_b,
-        pearson=r,
-        spearman=rho,
-        rank_agreements=agreements,
-    )
+    agreements = sum(map(operator.eq, ranks_a, ranks_b))
+    return ComparisonReport(ranks_a, ranks_b, r, rho, agreements)
 
 
 def compare_methods(matrix: DecisionMatrix) -> ComparisonReport:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import ComparisonReport, rank_desc
+from .compare import ComparisonReport, compare_weights, rank_desc
 from .dispersion import DispersionBreakdown
 from .entropy import EntropyBreakdown
 from .errors import DimensionMismatch, ParseError, UnknownGrade
@@ -338,17 +338,15 @@ def build_report(
     Ranks are extracted before quantization; printed values are rounded to
     6 decimals, exceeding the precision of any weight this tool emits.
     Blocks for methods that did not run are omitted. Each method block ranks
-    its own weights; the comparison block holds only ``comparison``'s
-    statistics, which must be ``compare_weights(entropy[0], dwm[0])``. A
-    ``ComparisonReport`` holds no weights, so only its ranks are checked: a
-    comparison of other weights that rank alike still passes.
+    its own weights. The comparison block prints ``comparison``, which must
+    equal ``compare_weights(entropy[0], dwm[0])`` of the two blocks beside it.
 
     Raises:
         ValueError: a note contains a line break, which a CSV report could
             not carry on its one ``# note=`` line; a method block's weights
-            or breakdown fields, or the comparison's ranks, number other
-            than the criteria; or the comparison's ``ranks_a`` or
-            ``ranks_b`` differ from the ranks of the entropy or dwm block.
+            or breakdown fields number other than the criteria; or
+            ``comparison`` is given but is not ``compare_weights`` of both
+            blocks, or either block is missing.
     """
     doc: ReportDocument = {
         "schema": REPORT_SCHEMA,
@@ -362,13 +360,7 @@ def build_report(
     if notes:
         doc["notes"] = list(notes)
     sources = {}
-    if comparison is not None:
-        n = len(comparison.ranks_a)
-        if n != len(criteria):
-            raise ValueError(f"comparison ranks {n} weights, not {len(criteria)}")
-        sources["comparison"] = vars(comparison)
-    blocks = (("entropy", entropy, "ranks_a"), ("dwm", dwm, "ranks_b"))
-    for block, result, side in blocks:
+    for block, result in (("entropy", entropy), ("dwm", dwm)):
         if result is not None:
             weights, breakdown = result
             fields = {**vars(weights), **vars(breakdown)}
@@ -377,10 +369,11 @@ def build_report(
                     raise ValueError(
                         f"{block} {key} has {len(value)} values, not {len(criteria)}"
                     )
-            ranks = rank_desc(weights.weights)
-            if comparison is not None and getattr(comparison, side) != ranks:
-                raise ValueError(f"comparison {side} differ from the {block} ranks")
-            sources[block] = {**fields, "ranks": ranks}
+            sources[block] = {**fields, "ranks": rank_desc(weights.weights)}
+    if comparison is not None:
+        if None in (entropy, dwm) or comparison != compare_weights(entropy[0], dwm[0]):
+            raise ValueError("comparison is not compare_weights(entropy, dwm)")
+        sources["comparison"] = vars(comparison)
     for block, key, _, _ in REPORT_FIELDS:
         if block in sources:
             doc.setdefault(block, {})[key] = _q6(sources[block][key])

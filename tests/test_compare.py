@@ -203,6 +203,9 @@ class TestPearson:
                 r = corr(x, y)
                 assert r == pytest.approx(oracle_pearson(list(x), list(y)), abs=1e-12)
                 assert r == pytest.approx(stats.pearsonr(x, y).statistic, abs=1e-12)
+                # beyond about 1e+-154 the unscaled sums would over- or underflow
+                for k in (-900, 900):
+                    assert corr(np.ldexp(x, k), y) == r
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_rows_equal_pearson_bit_for_bit(self, order):
@@ -270,10 +273,23 @@ class TestComparisonReport:
             ComparisonReport((1, 2), (1, 2), 1.5, None, 2)
         with pytest.raises(ValueError, match="outside"):
             ComparisonReport((1, 2), (1, 2), None, -1.5, 2)
+        with pytest.raises(ValueError, match="outside"):
+            ComparisonReport((1, 2), (2, 1), float("nan"), None, 0)
 
     def test_ranks_must_be_a_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             ComparisonReport((1, 2), (1, 1), None, None, 1)
+        # the check counts and looks up values, so a repeat that pads the
+        # length and a value past C must fail it too
+        for ranks in ((1, 2, 2), (1, 3)):
+            with pytest.raises(ValueError, match="permutation"):
+                ComparisonReport((1, 2), ranks, None, None, 1)
+
+    def test_agreement_count_must_match_the_ranks(self):
+        with pytest.raises(ValueError, match="^rank_agreements 5, not 0$"):
+            ComparisonReport((1, 2), (2, 1), None, None, 5)
+        with pytest.raises(ValueError, match="^rank_agreements 0, not 2$"):
+            ComparisonReport((1, 2), (1, 2), None, None, 0)
 
     def test_weights_of_different_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -419,7 +419,7 @@ class TestReports:
         assert report["entropy"]["ranks"] == list(golden.EXAMPLE1_RANKS)
         assert report["dwm"]["ranks"] == list(golden.EXAMPLE1_RANKS)
 
-    def test_ranks_follow_each_blocks_own_weights(self, example2):
+    def test_ranks_follow_each_blocks_own_weights(self, example1, example2):
         entropy = entropy_weights(example2)
         dwm = dwm_weights(example2)
         expected = {
@@ -436,21 +436,29 @@ class TestReports:
         )
         for block, ranks in expected.items():
             assert report[block]["ranks"] == ranks
-        # the swapped pair, and a comparison that never saw the dwm weights,
-        # would print statistics the blocks were not computed from
-        for comparison, side, block in (
-            (compare_weights(dwm[0], entropy[0]), "ranks_a", "entropy"),
-            (compare_weights(entropy[0], entropy[0]), "ranks_b", "dwm"),
+        # each would print statistics its blocks were not computed from: the
+        # swapped pair, a comparison that never saw the dwm weights (example1's
+        # two methods rank alike, so only its statistics differ), and one
+        # beside a missing dwm block
+        entropy1, dwm1 = entropy_weights(example1), dwm_weights(example1)
+        for matrix, blocks, comparison in (
+            (example2, {"entropy": entropy, "dwm": dwm},
+             compare_weights(dwm[0], entropy[0])),
+            (example2, {"entropy": entropy, "dwm": dwm},
+             compare_weights(entropy[0], entropy[0])),
+            (example1, {"entropy": entropy1, "dwm": dwm1},
+             compare_weights(entropy1[0], entropy1[0])),
+            (example2, {"entropy": entropy},
+             compare_weights(entropy[0], dwm[0])),
         ):
             with pytest.raises(
-                ValueError, match=f"^comparison {side} differ from the {block} ranks$"
+                ValueError, match=r"^comparison is not compare_weights\(entropy, dwm\)$"
             ):
                 build_report(
-                    example2.criterion_names,
+                    matrix.criterion_names,
                     "sha256:0",
-                    entropy=entropy,
-                    dwm=dwm,
                     comparison=comparison,
+                    **blocks,
                 )
 
     def test_comparison_of_another_criteria_count_rejected(self, example1):
@@ -458,7 +466,9 @@ class TestReports:
         dwm = dwm_weights(example1)
         tail = entropy[0].weights[1:]
         shorter = WeightVector(tail / tail.sum(), "entropy")
-        with pytest.raises(ValueError, match="^comparison ranks 4 weights, not 5$"):
+        with pytest.raises(
+            ValueError, match=r"^comparison is not compare_weights\(entropy, dwm\)$"
+        ):
             build_report(
                 example1.criterion_names,
                 "sha256:0",
