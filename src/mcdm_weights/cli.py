@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,13 +41,14 @@ BENCH_SCHEMA = "mcdm-weights/bench/v1"
 class BenchSummary:
     """Aggregate of one seeded benchmark run.
 
+    The fields are declared in the order :func:`emit_bench` writes them.
     Correlation statistics and the rank-1 agreement rate are None when no
     trial produced a comparable weight pair (e.g. the all-negative regime,
     where the entropy method fails every trial).
     """
 
-    trials: int
     seed: int
+    trials: int
     dims: tuple[int, int]
     value_range: tuple[float, float]
     compared_trials: int
@@ -125,14 +126,11 @@ def run_benchmark(
     """Monte Carlo method-agreement benchmark over seeded random matrices.
 
     Trial t weighs ``generate_matrix(SeedSequence((seed, t))
-    .generate_state(1)[0], dims, value_range)`` by both methods. The trial
-    seeds are taken in one vectorized pass. Each trial's matrix is drawn
-    and weighed by entropy on its own, into one ``(trials, A, C)`` stack; a
-    matrix with a negative entry is counted as an entropy failure without
-    the call, since ``entropy_weights`` would raise ``NegativeEntry``. One
-    dispersion pass then weighs the whole stack, and one Pearson pass
-    compares the trials in which both methods succeed, each with the bits
-    ``dwm_weights`` and ``pearson`` give one matrix.
+    .generate_state(1)[0], dims, value_range)`` by both methods, with the
+    bits ``entropy_weights``, ``dwm_weights`` and ``pearson`` give that one
+    matrix. The summary's fields are in the JSON's order, and it holds the
+    values the JSON prints (``value_range`` as two floats), so two runs
+    that print the same bytes compare equal.
 
     ``workers`` is accepted and changes nothing: the work holds the GIL, so
     a second thread would only take turns with the first. It runs as one
@@ -151,8 +149,10 @@ def run_benchmark(
         if value < least:
             raise InputError(f"{name} must be at least {least}, got {value}")
     _check_draw(seed, dims, value_range)
-    # numpy integers pass the checks; the seed hash and the JSON want int
+    # numpy numbers pass the checks; the seed hash and the JSON want int
+    # and float, and a tuple keeps the summary hashable
     trials, seed, dims = int(trials), int(seed), (int(dims[0]), int(dims[1]))
+    value_range = (float(value_range[0]), float(value_range[1]))
 
     def trial_stats():
         stack = np.empty((trials, *dims))
@@ -188,46 +188,38 @@ def run_benchmark(
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         entropy_ok, dwm_ok, pearsons, agreements = pool.submit(trial_stats).result()
-    compared = int(np.count_nonzero(entropy_ok & dwm_ok))
+    counts = [
+        int(np.count_nonzero(mask))
+        for mask in (entropy_ok & dwm_ok, ~entropy_ok, ~dwm_ok, dwm_ok & ~entropy_ok)
+    ]
+    stats = (min, max, lambda r: sum(r) / len(r), np.median)
+    # positional, in field order
     return BenchSummary(
-        trials=trials,
-        seed=seed,
-        dims=dims,
-        value_range=value_range,
-        compared_trials=compared,
-        entropy_failures=int(np.count_nonzero(~entropy_ok)),
-        dwm_failures=int(np.count_nonzero(~dwm_ok)),
-        dwm_only_trials=int(np.count_nonzero(dwm_ok & ~entropy_ok)),
-        pearson_min=_q6(min(pearsons)) if pearsons else None,
-        pearson_max=_q6(max(pearsons)) if pearsons else None,
-        pearson_mean=_q6(sum(pearsons) / len(pearsons)) if pearsons else None,
-        pearson_median=_q6(float(np.median(pearsons))) if pearsons else None,
-        rank1_agreement_rate=_q6(agreements / compared) if compared else None,
+        seed,
+        trials,
+        dims,
+        value_range,
+        *counts,
+        *(_q6(float(stat(pearsons))) if pearsons else None for stat in stats),
+        _q6(agreements / counts[0]) if counts[0] else None,
     )
 
 
 def emit_bench(summary: BenchSummary) -> str:
-    """Benchmark summary as deterministic JSON; empty stats are omitted."""
-    doc: dict = {
-        "schema": BENCH_SCHEMA,
-        "seed": summary.seed,
-        "trials": summary.trials,
-        "dims": list(summary.dims),
-        "range": [float(v) for v in summary.value_range],
-        "compared_trials": summary.compared_trials,
-        "entropy_failures": summary.entropy_failures,
-        "dwm_failures": summary.dwm_failures,
-        "dwm_only_trials": summary.dwm_only_trials,
-    }
-    if summary.pearson_min is not None:
-        doc["pearson"] = {
-            "min": summary.pearson_min,
-            "max": summary.pearson_max,
-            "mean": summary.pearson_mean,
-            "median": summary.pearson_median,
-        }
-    if summary.rank1_agreement_rate is not None:
-        doc["rank1_agreement_rate"] = summary.rank1_agreement_rate
+    """Benchmark summary as deterministic JSON, one key per field in order.
+
+    ``value_range`` is written as ``"range"``, the ``pearson_*`` fields
+    nest under ``"pearson"``, and a None field is left out.
+    """
+    doc: dict = {"schema": BENCH_SCHEMA}
+    for field in fields(summary):
+        value = getattr(summary, field.name)
+        if value is None:
+            continue
+        if field.name.startswith("pearson_"):
+            doc.setdefault("pearson", {})[field.name.removeprefix("pearson_")] = value
+        else:
+            doc["range" if field.name == "value_range" else field.name] = value
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 

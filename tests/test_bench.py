@@ -229,6 +229,11 @@ def test_numpy_integer_arguments_run_as_python_ints():
     got = run_benchmark(np.int64(40), np.uint32(3), dims, (-5.0, 100.0), np.int16(2))
     assert got == want
     assert emit_bench(got) == emit_bench(want)
+    # a list range is held as the floats the JSON prints
+    got = run_benchmark(40, 3, (4, 5), [-5, np.float32(100)], 2)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert emit_bench(got) == emit_bench(want)
 
 
 def test_bad_dims_are_refused_before_the_trials_start(monkeypatch):

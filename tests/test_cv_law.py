@@ -5,15 +5,26 @@ With ``q = x / mean - 1`` per column, the divergence is exactly
 ``f(q) = q²/2 - q³/6 + ...`` gives ``d = CV² / (2 ln A) * (1 - γ CV / 3 + ...)``
 (γ the column's skewness). So as the columns approach uniform, entropy
 weights approach ``CV² / sum CV²`` while DWM weights are ``CV / sum CV``,
-and the gap to the CV² law is of the order of the largest CV.
+and the gap to the CV² law is of the order of the largest CV. The
+correlations between the methods follow: Pearson's r is close to
+``r(CV², CV)``, and Spearman's rho is exactly ``rho(entropy, CV²)``.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcdm_weights import dwm_weights, entropy_weights, validate_matrix
+from mcdm_weights import (
+    dwm_weights,
+    entropy_weights,
+    pearson,
+    spearman,
+    validate_matrix,
+)
+
+from sampling import random_matrices
 
 #: deterministic and bounded, so the suite stays reproducible and fast
 FIXED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -75,6 +86,56 @@ def test_entropy_weights_approach_the_cv_squared_law(grid):
     law = cv**2 / (cv**2).sum()
     weights, _ = entropy_weights(validate_matrix(grid))
     assert np.abs(weights.weights - law).max() <= cv.max()
+
+
+@FIXED
+@given(grid=near_uniform_grids())
+def test_pearson_r_between_the_methods_is_predicted_by_the_cvs(grid):
+    """``|r(w_e, w_d) - r(CV², CV)| <= 2 max CV / std(CV² / sum CV²)``.
+
+    With ``b = CV² / sum CV²`` and P the centring projection, r is
+    scale-invariant, so ``r(CV², CV) = r(b, w_d)``, and r is the inner
+    product of the unit vectors ``Px / ||Px||``. Hence
+    ``|r(w_e, w_d) - r(b, w_d)| <= ||Pw_e / ||Pw_e|| - Pb / ||Pb|| ||``,
+    which is at most ``2 ||P(w_e - b)|| / ||Pb|| <= 2 ||w_e - b|| / ||Pb||``.
+    The law above gives ``|w_e - b| <= max CV`` in each of the C entries,
+    and ``||Pb|| = sqrt(C) std(b)``.
+    """
+    matrix = validate_matrix(grid)
+    we = entropy_weights(matrix)[0].weights
+    dwm, spread = dwm_weights(matrix)
+    cv = spread.cv
+    assume(np.ptp(we) > 0.0 and np.ptp(cv) > 0.0)  # r needs spread on both sides
+    law = cv**2 / (cv**2).sum()
+    bound = 2.0 * cv.max() / law.std()
+    assert abs(pearson(we, dwm.weights) - pearson(cv**2, cv)) <= bound
+
+
+@pytest.mark.parametrize("lo", [1.0, 50.0, 90.0])
+def test_spearman_rho_between_the_methods_is_rho_with_cv_squared(lo):
+    """``rho(w_e, w_d) == rho(w_e, CV²)``, with no approximation.
+
+    ``w_d = CV / sum CV`` and ``CV²`` are both monotone in CV, so they
+    rank the criteria alike, ties included; rho sees only ranks. The one
+    exception is rounding: two distinct CVs whose squares, or whose DWM
+    weights, round to one float tie on one side only. Such draws are
+    skipped, and are counted to show they are rare.
+    """
+    skipped = checked = 0
+    for _, cols, grid in random_matrices(400, seed=2025, lo=lo, hi=100.0):
+        if cols < 2:
+            continue
+        matrix = validate_matrix(grid)
+        we = entropy_weights(matrix)[0].weights
+        dwm, spread = dwm_weights(matrix)
+        cv = spread.cv
+        # a rounding tie on one side leaves that side fewer distinct values
+        if len({len(set(v.tolist())) for v in (cv, cv**2, dwm.weights)}) > 1:
+            skipped += 1
+            continue
+        checked += 1
+        assert spearman(we, dwm.weights) == spearman(we, cv**2)
+    assert skipped <= checked // 100
 
 
 def column_0_elasticity(method, grid, eps=1e-4):
