@@ -113,6 +113,14 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return r, constant
 
 
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    # two vectors as 1-D float64 arrays of one shape, else LengthMismatch
+    xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise LengthMismatch(f"got shapes {xs.shape} and {ys.shape}")
+    return xs, ys
+
+
 def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 
@@ -120,10 +128,7 @@ def pearson(x, y) -> float:
         LengthMismatch: lengths differ or are below 2.
         ConstantVector: either vector has zero variance.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise LengthMismatch(f"got shapes {xs.shape} and {ys.shape}")
+    xs, ys = _pair(x, y)
     if xs.size < 2:
         raise LengthMismatch("need at least 2 points")
     r, constant = _pearson_rows(xs, ys)
@@ -143,11 +148,7 @@ def _fractional_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Rank correlation: Pearson's r over fractional (average) ranks."""
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise LengthMismatch(f"got shapes {xs.shape} and {ys.shape}")
-    return pearson(_fractional_ranks(xs), _fractional_ranks(ys))
+    return pearson(*map(_fractional_ranks, _pair(x, y)))
 
 
 def compare_weights(a: WeightVector, b: WeightVector) -> ComparisonReport:

@@ -106,10 +106,9 @@ class AllColumnsUniform(MethodError):
 class DegenerateMean(MethodError):
     """Column |mean| is at most 1e-9 of its largest |value|; CV is meaningless."""
 
-    def __init__(self, col: int | None = None):
+    def __init__(self, col: int):
         self.col = col
-        where = f"column {col}" if col is not None else "column"
-        super().__init__(f"{where} has a near-zero mean")
+        super().__init__(f"column {col} has a near-zero mean")
 
 
 class AllColumnsConstant(MethodError):

@@ -39,7 +39,6 @@ from .version import __version__
 
 TOOL = f"mcdm-weights {__version__}"
 REPORT_SCHEMA = "mcdm-weights/report/v1"
-PLOT_HEADER = "criterion,weight_entropy,weight_dwm"
 
 
 # ---------------------------------------------------------------- parsing
@@ -263,11 +262,13 @@ def emit_matrix(matrix: DecisionMatrix) -> str:
             raise ValueError(
                 f"cannot write alternative {i} label {_shown(label)}: it {reason}"
             )
+    grid = zip(matrix.alternatives, matrix.values.tolist())
+    return _csv_text([header, *([label, *map(repr, row)] for label, row in grid)])
+
+
+def _csv_text(rows) -> str:
     out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for label, row in zip(matrix.alternatives, matrix.values):
-        writer.writerow([label] + [repr(float(v)) for v in row])
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
@@ -319,6 +320,12 @@ def _cell(value) -> str:
     return "NA" if value is None else str(value)
 
 
+def _table(criteria, columns) -> str:
+    # a report's CSV table: criteria (a str passes _cell as is), then the columns
+    names, values = zip(("criterion", criteria), *columns)
+    return _csv_text([names, *zip(*(map(_cell, v) for v in values), strict=True)])
+
+
 def _uncell(text: str):
     if text == "NA":
         return None
@@ -342,11 +349,11 @@ def build_report(
     equal ``compare_weights(entropy[0], dwm[0])`` of the two blocks beside it.
 
     Raises:
-        ValueError: a note contains a line break, which a CSV report could
-            not carry on its one ``# note=`` line; a method block's weights
-            or breakdown fields number other than the criteria; or
-            ``comparison`` is given but is not ``compare_weights`` of both
-            blocks, or either block is missing.
+        ValueError: the input digest or a note contains a line break,
+            which a CSV report could not carry on its one ``# key=value``
+            line; a method block's weights or breakdown fields number other
+            than the criteria; or ``comparison`` is given but is not
+            ``compare_weights`` of both blocks, or either block is missing.
     """
     doc: ReportDocument = {
         "schema": REPORT_SCHEMA,
@@ -354,9 +361,10 @@ def build_report(
         "input_digest": input_digest,
         "criteria": list(criteria),
     }
-    for note in notes:
-        if "\n" in note or "\r" in note:
-            raise ValueError(f"report note {note!r} contains a line break")
+    # each lands on its own "# key=value" line of a CSV report
+    for key, text in (("input_digest", input_digest), *(("note", n) for n in notes)):
+        if "\n" in text or "\r" in text:
+            raise ValueError(f"report {key} {text!r} contains a line break")
     if notes:
         doc["notes"] = list(notes)
     sources = {}
@@ -398,12 +406,7 @@ def emit_report(report: ReportDocument, format: str = "json") -> str:
                 lines.append(f"# {name}={_cell(report[block][key])}")
             else:
                 columns.append((name, report[block][key]))
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["criterion"] + [name for name, _ in columns])
-    for j, criterion in enumerate(report["criteria"]):
-        writer.writerow([criterion] + [_cell(values[j]) for _, values in columns])
-    return "\n".join(lines) + "\n" + out.getvalue()
+    return "\n".join(lines) + "\n" + _table(report["criteria"], columns)
 
 
 def parse_report(text: str, format: str = "json") -> ReportDocument:
@@ -450,33 +453,23 @@ def parse_report(text: str, format: str = "json") -> ReportDocument:
 def emit_plot_series(
     criteria: tuple[str, ...], entropy: WeightVector, dwm: WeightVector
 ) -> str:
-    """Grouped-bar data: one row per criterion with both methods' weights."""
+    """Grouped-bar data: the report's CSV table with its two weight columns."""
     if not len(criteria) == len(entropy) == len(dwm):
         raise DimensionMismatch(
             f"{len(criteria)} criteria, {len(entropy)} entropy weights, "
             f"{len(dwm)} dwm weights"
         )
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PLOT_HEADER.split(","))
-    for name, we, wd in zip(criteria, entropy, dwm):
-        writer.writerow([name, _cell(we), _cell(wd)])
-    return out.getvalue()
+    names = (name for _, key, name, _ in REPORT_FIELDS if key == "weights")
+    return _table(criteria, zip(names, (w.weights.tolist() for w in (entropy, dwm))))
 
 
 # ---------------------------------------------------------------- fixtures
 
 
-def fixture_dir() -> Path:
-    """Bundled dataset directory, overridable via MCDM_FIXTURES."""
-    override = os.environ.get("MCDM_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
-
-
 def fixture_path(name: str) -> Path:
-    return fixture_dir() / name
+    """A bundled dataset's path; MCDM_FIXTURES overrides their directory."""
+    override = os.environ.get("MCDM_FIXTURES")
+    return (Path(override) if override else Path(__file__).parent / "fixtures") / name
 
 
 def load_fixture(

@@ -330,8 +330,12 @@ def _check_draw(
     lo, hi = value_range
     if n_rows < 2 or n_cols < 1:
         raise BadDims(f"dims must be at least 2x1, got {n_rows}x{n_cols}")
+    try:
+        width = float(hi) - float(lo)
+    except OverflowError:
+        raise BadRange("range bounds must fit in a float") from None
     # an infinite bound, or a width past the float range, leaves hi - lo infinite
-    if not lo < hi or not math.isfinite(float(hi) - float(lo)):
+    if not lo < hi or not math.isfinite(width):
         raise BadRange(f"need lo < hi with a finite hi - lo, got [{lo}, {hi}]")
 
 
@@ -351,7 +355,8 @@ def generate_matrix(
         BadDims: dims that are not a tuple or list of two ints (numpy's
             included), fewer than 2 rows or no column.
         BadRange: a range that is not a tuple or list of two ints or floats
-            (numpy's included), ``lo >= hi``, or an infinite ``hi - lo``.
+            (numpy's included), an int bound past the float range,
+            ``lo >= hi``, or an infinite ``hi - lo``.
     """
     _check_draw(seed, dims, value_range)
     grid = np.random.default_rng(seed).uniform(*value_range, size=dims)

@@ -11,6 +11,7 @@ import mcdm_weights.io as matrix_io
 from mcdm_weights import (
     DEFAULT_LIKERT_MAP,
     CriterionSpec,
+    DimensionMismatch,
     LikertMap,
     McdmError,
     ParseError,
@@ -529,6 +530,10 @@ class TestReports:
         for note in ("two\nlines", "carriage\rreturn"):
             with pytest.raises(ValueError):
                 both_methods_report(example1, notes=(note,))
+        # the input digest sits on its own "# input_digest=" line too; unchecked,
+        # a CSV report read it back cut at the line break
+        with pytest.raises(ValueError, match="input_digest .* contains a line break"):
+            build_report(example1.criterion_names, "sha256:ab\ncd")
 
     def test_emission_is_deterministic(self, example2):
         report = both_methods_report(example2)
@@ -568,6 +573,19 @@ class TestPlotSeries:
         for line in text.strip().split("\n")[1:]:
             _, a, b = line.rsplit(",", 2)
             assert a == b
+
+    def test_lengths_that_differ_rejected(self, example1):
+        we, _ = entropy_weights(example1)
+        short = WeightVector(np.array([0.5, 0.5]), "dwm")
+        names = example1.criterion_names
+        for criteria, entropy, dwm, counts in (
+            (names, we, short, (5, 5, 2)),
+            (names, short, we, (5, 2, 5)),
+            (names[:4], we, we, (4, 5, 5)),
+        ):
+            message = "{} criteria, {} entropy weights, {} dwm weights".format(*counts)
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                emit_plot_series(criteria, entropy, dwm)
 
 
 class TestFixtures:

@@ -200,9 +200,11 @@ class TestGenerateMatrix:
                 generate_matrix(0, (4, 5), value_range)
 
     def test_range_wider_than_floats_rejected(self):
-        # both bounds are finite, but hi - lo is not
-        with pytest.raises(BadRange):
-            generate_matrix(0, (4, 5), (-1e308, 1e308))
+        # both bounds are finite, but hi - lo is not; or an int bound is past
+        # the float range, where float() raised an untyped OverflowError
+        for value_range in [(-1e308, 1e308), (0, 10**400), (-(2**1024), 0)]:
+            with pytest.raises(BadRange):
+                generate_matrix(0, (4, 5), value_range)
 
 
 class TestWeightVector:
