@@ -171,7 +171,7 @@ def run_benchmark(
             except MethodError:
                 entropy_ok[t] = False
 
-        cvs, zero, degenerate, constant = _dwm_columns(stack)[3:]
+        cvs, zero, degenerate, constant = _dwm_columns(stack)[2:]
         dwm_ok = ~(np.logical_or.reduce(zero | degenerate, -1) | constant)
         both = entropy_ok & dwm_ok
         we = entropy[both]

@@ -15,7 +15,7 @@ import numpy as np
 from .dispersion import dwm_weights
 from .entropy import entropy_weights
 from .errors import ConstantVector, DimensionMismatch, LengthMismatch
-from .matrix import DecisionMatrix, WeightVector
+from .matrix import DecisionMatrix, WeightVector, _pow2_scaled
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,6 @@ def rank_desc(values) -> tuple[int, ...]:
     return tuple(ranks.tolist())
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    # each row times the power of two that brings its largest |value| into
-    # [0.5, 1); a power of two scales exactly
-    _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
-    return np.ldexp(v, -exponent)
-
-
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pearson's r of each row pair of two ``(..., n)`` float64 stacks.
 
@@ -97,7 +90,7 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     differently). Both take that order only over contiguous rows, so the
     stacks are made C-contiguous first.
     """
-    x, y = np.ascontiguousarray(_unit_rows(x)), np.ascontiguousarray(_unit_rows(y))
+    x, y = (np.ascontiguousarray(_pow2_scaled(v, -1)[0]) for v in (x, y))
     n = x.shape[-1]
     dx = x - np.add.reduce(x, -1, keepdims=True) / n
     dy = y - np.add.reduce(y, -1, keepdims=True) / n

@@ -13,15 +13,14 @@ get the same bits per grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllColumnsConstant, DegenerateMean
-from .matrix import DecisionMatrix, WeightVector, _first_fault, _freeze_fields
-
-# CVs at or below this are indistinguishable from a constant column
-_CONSTANT_EPS = 1e-12
+from .matrix import _NO_SPREAD, DecisionMatrix, WeightVector, _first_fault
+from .matrix import _freeze_fields, _pow2_scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,39 +43,46 @@ class DispersionBreakdown:
 def _dwm_columns(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Column statistics of a ``(..., A, C)`` stack of finite grids.
 
-    Returns ``(scales, means, stds, cvs, zero, degenerate, constant)``:
-    per-column largest |value|, and the mean, population std and CV of the
-    column scaled by it; then the fault masks, a zero column and a
-    degenerate mean per column, and every column constant per grid. A
-    faulty grid's statistics are finite but meaningless.
+    Returns ``(means, stds, cvs, zero, degenerate, constant)``: per column
+    the mean and population std, in the input's units, and the CV; then
+    the fault masks, a zero column and a degenerate mean per column, and
+    every column constant per grid. A faulty grid's stats are finite, not meaningful.
     """
-    # CV is unit-free, so it is taken on the columns scaled into [-1, 1];
-    # there a mean of 1e-9 is small next to the column's own size. The
-    # statistics are built in place, so a stack of trials costs one extra
-    # grid of memory and a few per-column rows.
-    scaled = np.abs(values)
-    scales = np.maximum.reduce(scaled, -2)
-    zero = scales == 0.0
-    # a zero column is left undivided: its |values| are already all zeros
-    np.divide(values, scales[..., None, :], out=scaled, where=~zero[..., None, :])
+    # CV is unit-free, so it is taken on the columns scaled exactly, to a
+    # largest |value| (the mantissa) in [0.5, 1). The statistics are built
+    # in place: a stack of trials costs one extra grid and a few rows.
+    scaled, mantissa, exponent = _pow2_scaled(values, -2)
+    mantissa, exponent = mantissa[..., 0, :], exponent[..., 0, :]
 
-    # np.mean and np.std, bit for bit, without their Python wrappers
+    # np.mean without its Python wrapper, but exact where the sum can
+    # cancel: where the mean is small next to the largest |value|
     n = values.shape[-2]
     means = np.add.reduce(scaled, -2)
     means /= n
+    cancel = np.abs(means) < mantissa * 1e-2
+    if np.count_nonzero(cancel):
+        columns = np.moveaxis(scaled, -2, -1)[cancel]
+        means[cancel] = [math.fsum(c) / n for c in columns]
     np.subtract(scaled, means[..., None, :], out=scaled)
+    # corrected two-pass variance (Chan, Golub, LeVeque): the deviations' sum
+    # takes out the mean's rounding, which gives a constant column a CV ~1e-16
+    residuals = np.add.reduce(scaled, -2)
     np.multiply(scaled, scaled, out=scaled)
     stds = np.add.reduce(scaled, -2)
+    stds -= residuals * residuals / n
     stds /= n
+    np.maximum(stds, 0.0, out=stds)
     np.sqrt(stds, out=stds)
 
     cvs = np.abs(means)
-    degenerate = cvs <= 1e-9
-    # raising a degenerate |mean| to the bound leaves every other one as is
-    np.maximum(cvs, 1e-9, out=cvs)
+    degenerate = cvs <= mantissa * 1e-9
+    # no mantissa is below 0.5, so raising each |mean| to half the bound
+    # raises only degenerate ones, and keeps a zero column off 0 / 0
+    np.maximum(cvs, 0.5e-9, out=cvs)
     np.divide(stds, cvs, out=cvs)
-    constant = np.logical_and.reduce(cvs <= _CONSTANT_EPS, -1)
-    return scales, means, stds, cvs, zero, degenerate, constant
+    constant = np.logical_and.reduce(cvs <= _NO_SPREAD, -1)
+    means, stds = np.ldexp(means, exponent), np.ldexp(stds, exponent)
+    return means, stds, cvs, mantissa == 0.0, degenerate, constant
 
 
 def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdown]:
@@ -87,12 +93,12 @@ def dwm_weights(matrix: DecisionMatrix) -> tuple[WeightVector, DispersionBreakdo
             |value|; the first zero column is named before any other.
         AllColumnsConstant: every column has zero dispersion.
     """
-    scales, means, stds, cvs, zero, degenerate, constant = _dwm_columns(matrix.values)
+    means, stds, cvs, zero, degenerate, constant = _dwm_columns(matrix.values)
     fault = _first_fault(zero) or _first_fault(degenerate)
     if fault:
         raise DegenerateMean(*fault)
     if constant:
         raise AllColumnsConstant("every column is constant; no dispersion to weight")
 
-    breakdown = DispersionBreakdown(means * scales, stds * scales, cvs)
+    breakdown = DispersionBreakdown(means, stds, cvs)
     return WeightVector(cvs / np.add.reduce(cvs, None), "dwm"), breakdown

@@ -1,22 +1,27 @@
 """Shannon entropy weighting.
 
-Pipeline: share-of-column normalization, per-criterion entropy scaled into
-[0, 1] by 1/ln(alternative count), degree of divergence 1 - E, and weights
-proportional to divergence. Columns with more dispersion carry more weight;
-a uniform column is fully entropic and carries none.
+Each criterion's entropy E over its column's shares is scaled into [0, 1]
+by 1/ln(alternative count), and the weights are proportional to the
+degree of divergence d = 1 - E: a uniform column carries no weight. d is
+summed in a form that does not cancel near uniform: with ``q = x / m - 1``
+about the column mean m, ``d = sum f(q) / (A ln A)``, each
+``f(q) = (1 + q) log1p(q) - q`` at least 0, and then ``E = 1 - d``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllColumnsUniform, NegativeEntry, ZeroColumn
-from .matrix import DecisionMatrix, WeightVector, _first_fault, _freeze_fields
+from .matrix import _NO_SPREAD, DecisionMatrix, WeightVector, _first_fault
+from .matrix import _freeze_fields, _pow2_scaled
 
-# divergences at or below this are indistinguishable from a uniform column
-_UNIFORM_EPS = 1e-12
+# f(q) = sum over k >= 2 of (-q)**k / (k (k - 1)); through q**9, which errs
+# by under 2e-18 of f where |q| < 1e-2, it is q times these dot (q, ..., q**8)
+_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(2, 10)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +42,7 @@ class EntropyBreakdown:
         in_range = (-1e-12 <= e) & (e <= 1.0 + 1e-12)
         if np.count_nonzero(in_range) < e.size:
             raise ValueError(f"entropy {float(e[~in_range][0])!r} outside [0, 1]")
-        if np.count_nonzero(self.divergence != 1.0 - e):
+        if np.count_nonzero(e != 1.0 - self.divergence):
             raise ValueError("divergence must equal 1 - entropy")
 
 
@@ -57,43 +62,44 @@ def normalize_columns(matrix: DecisionMatrix) -> np.ndarray:
     if neg:
         raise NegativeEntry(*neg)
     # shares do not depend on a column's unit, so each column is first
-    # divided by its largest |value|, and sums of entries in [0, 1] cannot
-    # overflow (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    # ch. 4); the ufunc reductions skip the Python wrappers of .max() and
-    # .sum(), which cost more than the reduction on a small grid
-    scales = np.maximum.reduce(np.abs(values), 0)
-    if np.count_nonzero(scales) < scales.size:
-        raise ZeroColumn(*_first_fault(scales == 0.0))
-    scaled = values / scales
+    # scaled exactly into [0, 1), where its sum cannot overflow; the ufunc
+    # reductions skip the Python wrappers of .sum(), costly on a small grid
+    scaled, mantissa, _ = _pow2_scaled(values, 0)
+    if np.count_nonzero(mantissa) < mantissa.size:
+        raise ZeroColumn(*_first_fault(mantissa[0] == 0.0))
     shares = scaled / np.add.reduce(scaled, 0)
     shares.flags.writeable = False
     return shares
-
-
-def _plogp(p: np.ndarray) -> np.ndarray:
-    # Shannon convention: 0 * ln 0 = 0
-    safe = np.where(p > 0.0, p, 1.0)
-    return safe * np.log(safe)
 
 
 def entropy_weights(matrix: DecisionMatrix) -> tuple[WeightVector, EntropyBreakdown]:
     """Weights proportional to each criterion's degree of divergence 1 - E.
 
     Raises:
-        AllColumnsUniform: every divergence vanishes, so the weights'
-            denominator is zero.
+        AllColumnsUniform: every column's CV is at most 1e-12, so no
+            column has a divergence to weight.
         NegativeEntry, ZeroColumn: propagated from normalization.
     """
-    shares = normalize_columns(matrix)
-    k = 1.0 / np.log(matrix.n_alternatives)
-    entropies = -k * np.add.reduce(_plogp(shares), 0)
-    divergences = 1.0 - entropies
+    normalize_columns(matrix)  # for its checks; q is taken from the values
+    n = matrix.n_alternatives
+    scaled = _pow2_scaled(matrix.values, 0)[0]
+    mean = np.add.reduce(scaled, 0) / n
+    q = (scaled - mean) / mean
+    # a zero entry's log1p is taken just above q = -1, and 1 + q = 0 zeroes it
+    f = np.log1p(np.maximum(q, -1.0 + 2.0**-53)) * (1.0 + q) - q
+    small = np.abs(q) < 1e-2
+    if np.count_nonzero(small):  # where the direct form cancels
+        qs = q[small]
+        powers = np.multiply.accumulate(qs[:, None].repeat(_SERIES.size, 1), 1)
+        f[small] = np.add.reduce(powers * _SERIES, 1) * qs
+    ln_n = math.log(n)
+    divergences = np.add.reduce(f, 0) / (n * ln_n)
 
-    # rounding can leave a uniform column a few ulp off d = 0, either side;
-    # clamp for the weight quotient so the simplex constraint holds exactly
-    usable = np.maximum(divergences, 0.0)
-    if np.count_nonzero(divergences <= _UNIFORM_EPS) == divergences.size:
+    # 2 d ln A is the squared CV, to within a relative CV
+    floor = _NO_SPREAD**2 / (2.0 * ln_n)
+    if np.count_nonzero(divergences <= floor) == divergences.size:
         raise AllColumnsUniform("every column is uniform; no divergence to weight")
 
-    breakdown = EntropyBreakdown(entropies, divergences, float(k))
-    return WeightVector(usable / np.add.reduce(usable, None), "entropy"), breakdown
+    breakdown = EntropyBreakdown(1.0 - divergences, divergences, 1.0 / ln_n)
+    weights = divergences / np.add.reduce(divergences, None)
+    return WeightVector(weights, "entropy"), breakdown

@@ -100,7 +100,7 @@ class ZeroColumn(MethodError):
 
 
 class AllColumnsUniform(MethodError):
-    """Every column is uniform: all divergences vanish, no entropy weights."""
+    """Every column's CV is at most 1e-12: no divergence for entropy to weight."""
 
 
 class DegenerateMean(MethodError):

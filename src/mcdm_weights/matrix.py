@@ -218,6 +218,20 @@ def _first_fault(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(axis[0]) for axis in mask.nonzero())
 
 
+#: a CV at or below this is no dispersion, to both weighers
+_NO_SPREAD = 1e-12
+
+
+def _pow2_scaled(values: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """``values`` times the power of two that brings the largest |value|
+    along ``axis`` into [0.5, 1), exact but for a subnormal result (an
+    all-zero slice stays as it is); then that scaled largest |value| (the
+    mantissa) and the exponent, with ``axis`` kept at length 1."""
+    largest = np.maximum.reduce(np.abs(values), axis, keepdims=True)
+    mantissa, exponent = np.frexp(largest)
+    return np.ldexp(values, -exponent), mantissa, exponent
+
+
 @lru_cache(maxsize=32)
 def _default_alternatives(n_rows: int) -> tuple[str, ...]:
     return tuple(f"A{i + 1}" for i in range(n_rows))

@@ -1,12 +1,20 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Deliberately naive transcriptions of the two weighting procedures: plain
-loops over lists, ``math`` module only, no code shared with the package.
+loops over lists, no code shared with the package. The ``oracle_*``
+functions use floats and the ``math`` module only; the ``exact_*`` ones
+carry every float input exactly into ``decimal`` arithmetic at
+``EXACT_DIGITS`` significant digits, far past float64's 17, so they are
+the reference that the accuracy properties measure the package against.
 Agreement between these and the optimized implementations is what the
 property suite asserts.
 """
 
 import math
+from decimal import Decimal, localcontext
+
+#: significant digits of the exact oracles' arithmetic
+EXACT_DIGITS = 60
 
 
 def oracle_entropy_weights(rows):
@@ -95,3 +103,44 @@ def oracle_rank_desc(values):
     for pos, idx in enumerate(order):
         ranks[idx] = pos + 1
     return ranks
+
+
+def exact_columns(rows):
+    """Each column of a row-major float grid as a list of exact Decimals."""
+    return [[Decimal(float(v)) for v in col] for col in zip(*rows)]
+
+
+def exact_entropy_weights(rows):
+    """Entropy weights and divergences ``1 - E`` of a nonnegative grid,
+    from the textbook shares ``p = x / sum x`` and ``E = -sum p ln p / ln A``,
+    as Decimals. Raises ValueError where every divergence is 0."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        ln_n = Decimal(len(rows)).ln()
+        divergences = []
+        for col in exact_columns(rows):
+            total = sum(col)
+            plogp = sum((x / total) * (x / total).ln() for x in col if x)
+            divergences.append(1 + plogp / ln_n)
+        if not any(divergences):
+            raise ValueError("all columns uniform")
+        total = sum(divergences)
+        return [d / total for d in divergences], divergences
+
+
+def exact_dwm_weights(rows):
+    """DWM weights and CVs (population std over |mean|) of a grid, as
+    Decimals. Raises ValueError on a zero mean, or where every CV is 0."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        cvs = []
+        for col in exact_columns(rows):
+            mean = sum(col) / len(col)
+            if not mean:
+                raise ValueError("zero mean column")
+            var = sum((x - mean) ** 2 for x in col) / len(col)
+            cvs.append(var.sqrt() / abs(mean))
+        if not any(cvs):
+            raise ValueError("all columns constant")
+        total = sum(cvs)
+        return [c / total for c in cvs], cvs

@@ -80,6 +80,16 @@ class TestWeigh:
         for got, expected in zip(weights, golden.EXAMPLE1_ENTROPY_W):
             assert got == pytest.approx(expected, abs=5e-4)
 
+    def test_near_uniform_file_is_weighed_by_entropy(self, capsys):
+        # each column's divergence is below 1e-14, but its CV is far above
+        # 1e-12; the exact weights are 0.25 and 0.75 (CV² law, CVs 1:√3)
+        near_uniform = Path(__file__).parent / "goldens" / "near-uniform.csv"
+        code, out, err = run(
+            capsys, "weigh", "--input", str(near_uniform), "--method", "entropy"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entropy"]["weights"] == [0.25, 0.75]
+
     def test_negative_data_entropy_exits_3(self, capsys, negatives_csv):
         code, out, err = run(
             capsys, "weigh", "--input", negatives_csv, "--method", "entropy"

@@ -10,6 +10,8 @@ correlations between the methods follow: Pearson's r is close to
 ``r(CV², CV)``, and Spearman's rho is exactly ``rho(entropy, CV²)``.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from mcdm_weights import (
     validate_matrix,
 )
 
+from oracles import exact_columns
 from sampling import random_matrices
 
 #: deterministic and bounded, so the suite stays reproducible and fast
@@ -175,3 +178,52 @@ def test_entropy_weights_react_twice_as_strongly_to_spread(grid):
     assert abs(k - (2.0 - skewness * cv / 3)) <= kurtosis * cv**2 / 2
     # hence k = 2 to leading order
     assert abs(k - 2.0) <= abs(skewness) * cv / 3 + kurtosis * cv**2 / 2
+
+
+@st.composite
+def law_grids(draw):
+    """A grid of 2 to 8 rows and 1 to 5 columns ``level * (1 + cv * z)``,
+    with ``z`` a column shape standardized as in ``near_uniform_grids``,
+    each column's cv drawn from 1e-7 to 0.1 on a log scale, and level from
+    1e-300 to 1e300. Column 0 has a spread."""
+    rows = draw(st.integers(2, 8))
+    grid = np.empty((rows, draw(st.integers(1, 5))))
+    for j in range(grid.shape[1]):
+        shape = draw(column_shapes(rows))
+        if j == 0 and shape.std() == 0.0:
+            shape[0] += 1.0
+        spread = shape.std()
+        z = (shape - shape.mean()) / spread if spread > 0.0 else np.zeros(rows)
+        cv = 10.0 ** draw(st.floats(-7.0, -1.0))
+        grid[:, j] = 10.0 ** draw(st.integers(-300, 300)) * (1.0 + cv * z)
+    return grid
+
+
+@FIXED
+@given(grid=law_grids())
+def test_divergence_follows_the_cv_squared_law_to_fourth_order(grid):
+    """``d 2 ln A / CV² = 1 - γ CV / 3 + κ CV² / 6 + R`` per column.
+
+    ``2 d ln A`` is the mean of ``2 f(q)``, and ``f``'s series
+    ``q²/2 - q³/6 + q⁴/12 - ...`` has k-th coefficient at most ``1/20``
+    from k = 5 on, so ``|R| <= mean|q|⁵ / (10 CV² (1 - max|q|))``. γ and κ
+    are the raw moment ratios ``mean q³ / CV³`` and ``mean q⁴ / CV⁴``, and
+    the right side is taken exactly from the grid's own values. d must
+    match it to 4e-13 beyond R: at a CV of 1e-7, ``1 - E`` keeps no more
+    than 3 digits of d.
+    """
+    _, breakdown = entropy_weights(validate_matrix(grid))
+    rows = len(grid)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for column, d in zip(exact_columns(grid.tolist()), breakdown.divergence):
+            if len(set(column)) == 1:
+                continue  # a constant column: no CV to divide by
+            mean = sum(column) / rows
+            q = [x / mean - 1 for x in column]
+            m2, m3, m4 = (sum(v**k for v in q) / rows for k in (2, 3, 4))
+            lhs = Decimal(float(d)) * 2 * Decimal(rows).ln() / m2
+            rhs = 1 - m3 / (3 * m2) + m4 / (6 * m2)
+            remainder = sum(abs(v) ** 5 for v in q) / rows
+            bound = remainder / (10 * m2 * (1 - max(map(abs, q))))
+            assert abs(lhs - rhs) <= bound + Decimal("4e-13")

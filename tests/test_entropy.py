@@ -103,7 +103,7 @@ class TestEntropyWeights:
     def test_divergence_is_one_minus_entropy(self, example2):
         _, breakdown = entropy_weights(example2)
         for e, d in zip(breakdown.entropy, breakdown.divergence):
-            assert d == 1.0 - e
+            assert e == 1.0 - d
 
     def test_results_are_read_only_float64_arrays(self, example1):
         weights, breakdown = entropy_weights(example1)

@@ -49,6 +49,10 @@ COMMANDS.update({
     "bench-t2000-s7-mc.json": (
         "bench", "--trials", "2000", "--seed", "7", "--lo", "-5", "--hi", "100",
     ),
+    # columns whose divergence 1 - E is below 1e-14: the q form weighs them
+    "weigh-near-uniform-entropy.json": (
+        "weigh", "--input", str(GOLDENS / "near-uniform.csv"), "--method", "entropy",
+    ),
 })
 
 NOTES = ("fixture run", "second note: commas, quotes \" and = signs")

@@ -1,9 +1,12 @@
 """Both weighers and Pearson's r against textbook numpy formulas, bit for bit.
 
-The reference below spells each method out with ``np.mean``/``np.std``
-over the max-scaled columns. Any rewrite of the package's arithmetic for
-speed must return arrays equal to it, not merely close, and must refuse
-the same grids with the same error.
+The reference below spells each method out over columns scaled exactly,
+by a power of two, to a largest |value| in [0.5, 1): entropy's divergence
+in the ``q = (x - mean) / mean`` form, with its series where |q| < 1e-2,
+and DWM's ``np.mean``, with an exact sum where the mean is below 1e-2 of
+the largest |value|, and the corrected two-pass variance. Any rewrite of
+the package's arithmetic for speed must return arrays equal to it, not
+merely close, and must refuse the same grids with the same error.
 """
 
 import math
@@ -25,44 +28,63 @@ from mcdm_weights import (
     validate_matrix,
 )
 
+#: f(q) = (1 + q) log1p(q) - q as its series through q**9: the sum of
+#: these coefficients times q**2, q**3, ..., q**9
+SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(2, 10)])
+
+
+def pow2_scaled(values):
+    """``(scaled, mantissa, exponent)`` of each column."""
+    mantissa, exponent = np.frexp(np.abs(values).max(axis=0))
+    return np.ldexp(values, -exponent), mantissa, exponent
+
 
 def reference_entropy(values):
     """``(shares, weights, entropy, divergence, k)``."""
     negative = np.argwhere(values < 0)
     if negative.size:
         raise NegativeEntry(*(int(v) for v in negative[0]))
-    scales = np.abs(values).max(axis=0)
-    zero = np.flatnonzero(scales == 0.0)
+    scaled, mantissa, _ = pow2_scaled(values)
+    zero = np.flatnonzero(mantissa == 0.0)
     if zero.size:
         raise ZeroColumn(int(zero[0]))
-    scaled = values / scales
     shares = scaled / scaled.sum(axis=0)
-    k = 1.0 / np.log(values.shape[0])
-    safe = np.where(shares > 0.0, shares, 1.0)
-    entropy = -k * (safe * np.log(safe)).sum(axis=0)
-    divergence = 1.0 - entropy
-    if (divergence <= 1e-12).all():
+    n = values.shape[0]
+    mean = scaled.sum(axis=0) / n
+    q = (scaled - mean) / mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(q > -1.0, (1.0 + q) * np.log1p(q) - q, 1.0)
+    small = np.abs(q) < 1e-2
+    powers = np.cumprod(np.repeat(q[small, None], SERIES.size, -1), -1)
+    f[small] = (powers * SERIES).sum(-1) * q[small]
+    divergence = f.sum(axis=0) / (n * math.log(n))
+    # 2 d ln A is the squared CV
+    if (divergence * (2.0 * math.log(n)) <= 1e-12**2).all():
         raise AllColumnsUniform("every column is uniform; no divergence to weight")
-    usable = np.maximum(divergence, 0.0)
-    return shares, usable / usable.sum(), entropy, divergence, float(k)
+    entropy = 1.0 - divergence
+    return shares, divergence / divergence.sum(), entropy, divergence, 1 / math.log(n)
 
 
 def reference_dwm(values):
     """``(weights, mean, std, cv)``."""
-    scales = np.abs(values).max(axis=0)
-    zero = np.flatnonzero(scales == 0.0)
+    scaled, mantissa, exponent = pow2_scaled(values)
+    zero = np.flatnonzero(mantissa == 0.0)
     if zero.size:
         raise DegenerateMean(int(zero[0]))
-    scaled = values / scales
+    n = values.shape[0]
     mean = np.mean(scaled, axis=0)
-    std = np.std(scaled, axis=0)
-    degenerate = np.flatnonzero(np.abs(mean) <= 1e-9)
+    for j in np.flatnonzero(np.abs(mean) < 1e-2 * mantissa):
+        mean[j] = math.fsum(scaled[:, j]) / n
+    deviations = scaled - mean
+    squares = (deviations**2).sum(axis=0) - deviations.sum(axis=0) ** 2 / n
+    std = np.sqrt(np.maximum(squares / n, 0.0))
+    degenerate = np.flatnonzero(np.abs(mean) <= 1e-9 * mantissa)
     if degenerate.size:
         raise DegenerateMean(int(degenerate[0]))
     cv = std / np.abs(mean)
     if (cv <= 1e-12).all():
         raise AllColumnsConstant("every column is constant; no dispersion to weight")
-    return cv / cv.sum(), mean * scales, std * scales, cv
+    return cv / cv.sum(), np.ldexp(mean, exponent), np.ldexp(std, exponent), cv
 
 
 def package_entropy(matrix):
