@@ -118,8 +118,8 @@ def apply_likert(
 
 
 def _readonly(values) -> np.ndarray:
-    """A float64 copy of ``values`` that cannot be written to."""
-    frozen = np.array(values, dtype=np.float64, copy=True)
+    """A C-ordered float64 copy of ``values`` that cannot be written to."""
+    frozen = np.array(values, dtype=np.float64, order="C")
     frozen.flags.writeable = False
     return frozen
 
@@ -143,10 +143,18 @@ def _freeze_fields(instance, *names: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
-    """Validated alternatives x criteria value grid.
+    """Alternatives x criteria value grid, checked when it is built.
 
-    Construct through :func:`validate_matrix`; the ``values`` array is
-    read-only and every field is fixed after construction.
+    ``values`` is kept as a read-only, C-ordered float64 copy, so a grid
+    weighs to the same bits in any memory layout; the labels are kept as a
+    tuple of str and a tuple of CriterionSpec (a str is a criterion name).
+
+    Raises:
+        NonRectangular: a grid not 2-D or ragged, or a wrong label count.
+        TooFewAlternatives: fewer than 2 rows.
+        BadDims: zero columns.
+        NonFiniteValue: NaN or infinity, the first in row-major order.
+        DuplicateCriterionName: repeated criterion name.
     """
 
     alternatives: tuple[str, ...]
@@ -154,7 +162,46 @@ class DecisionMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
+        values = self.values
+        if isinstance(values, np.ndarray):
+            if values.ndim != 2:
+                raise NonRectangular(f"expected a 2-D grid, got {values.ndim}-D")
+        else:
+            widths = {len(row) for row in values}
+            if not widths:
+                raise TooFewAlternatives("matrix has no rows")
+            if len(widths) != 1:
+                raise NonRectangular(f"row lengths differ: {sorted(widths)}")
+        grid = _readonly(values)
+
+        n_rows, n_cols = grid.shape
+        if n_rows < 2:
+            raise TooFewAlternatives(f"need at least 2 alternatives, got {n_rows}")
+        if n_cols < 1:
+            raise BadDims("matrix needs at least one criterion")
+
+        if bad := _first_fault(~np.isfinite(grid)):
+            raise NonFiniteValue(*bad)
+
+        labels = tuple(map(str, self.alternatives))
+        if len(labels) != n_rows:
+            raise NonRectangular(f"{len(labels)} alternative labels for {n_rows} rows")
+
+        specs = tuple(
+            spec if isinstance(spec, CriterionSpec) else CriterionSpec(str(spec))
+            for spec in self.criteria
+        )
+        if len(specs) != n_cols:
+            raise NonRectangular(f"{len(specs)} criterion specs for {n_cols} columns")
+        seen: set[str] = set()
+        for spec in specs:
+            if spec.name in seen:
+                raise DuplicateCriterionName(f"criterion {spec.name!r} appears twice")
+            seen.add(spec.name)
+
+        object.__setattr__(self, "alternatives", labels)
+        object.__setattr__(self, "criteria", specs)
+        object.__setattr__(self, "values", grid)
 
     @property
     def n_alternatives(self) -> int:
@@ -243,76 +290,27 @@ def _default_criteria(n_cols: int) -> tuple[CriterionSpec, ...]:
     return tuple(CriterionSpec(f"C{j + 1}") for j in range(n_cols))
 
 
-def _coerce_criteria(
-    criteria: Sequence[CriterionSpec | str] | None, n_cols: int
-) -> tuple[CriterionSpec, ...]:
-    if criteria is None:
-        return _default_criteria(n_cols)
-    return tuple(
-        spec if isinstance(spec, CriterionSpec) else CriterionSpec(str(spec))
-        for spec in criteria
-    )
-
-
 def validate_matrix(
     values: Sequence[Sequence[float]] | np.ndarray,
     alternatives: Sequence[str] | None = None,
     criteria: Sequence[CriterionSpec | str] | None = None,
 ) -> DecisionMatrix:
-    """Check a raw grid plus labels and wrap them as a DecisionMatrix.
+    """A DecisionMatrix of ``values``, its rows named ``A1, A2, ...`` and
+    its columns ``C1, C2, ...`` unless labels are given.
 
     Idempotent: feeding a matrix's own fields back returns an equal matrix.
-
-    Raises:
-        NonRectangular: ragged grid, or label counts disagree with the grid.
-        TooFewAlternatives: fewer than 2 rows.
-        BadDims: zero columns.
-        NonFiniteValue: NaN or infinity anywhere in the grid.
-        DuplicateCriterionName: repeated criterion name.
+    Raises what :class:`DecisionMatrix` raises, in the same order.
     """
+    # sizes the default labels only: DecisionMatrix checks the grid first
     if isinstance(values, np.ndarray):
-        if values.ndim != 2:
-            raise NonRectangular(f"expected a 2-D grid, got {values.ndim}-D")
+        n_rows, n_cols = (*values.shape, 0, 0)[:2]
     else:
-        widths = {len(row) for row in values}
-        if not widths:
-            raise TooFewAlternatives("matrix has no rows")
-        if len(widths) != 1:
-            raise NonRectangular(f"row lengths differ: {sorted(widths)}")
-    # DecisionMatrix makes the read-only copy; a float64 ndarray is not copied here
-    grid = np.asarray(values, dtype=np.float64)
-
-    n_rows, n_cols = grid.shape
-    if n_rows < 2:
-        raise TooFewAlternatives(f"need at least 2 alternatives, got {n_rows}")
-    if n_cols < 1:
-        raise BadDims("matrix needs at least one criterion")
-
-    bad = _first_fault(~np.isfinite(grid))
-    if bad:
-        raise NonFiniteValue(*bad)
-
+        n_rows, n_cols = len(values), len(values[0]) if len(values) else 0
     if alternatives is None:
         alternatives = _default_alternatives(n_rows)
-    else:
-        alternatives = tuple(map(str, alternatives))
-        if len(alternatives) != n_rows:
-            raise NonRectangular(
-                f"{len(alternatives)} alternative labels for {n_rows} rows"
-            )
-
-    specs = _coerce_criteria(criteria, n_cols)
-    if len(specs) != n_cols:
-        raise NonRectangular(f"{len(specs)} criterion specs for {n_cols} columns")
-    names = [spec.name for spec in specs]
-    if len(set(names)) < len(names):
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateCriterionName(f"criterion {name!r} appears twice")
-            seen.add(name)
-
-    return DecisionMatrix(alternatives=alternatives, criteria=specs, values=grid)
+    if criteria is None:
+        criteria = _default_criteria(n_cols)
+    return DecisionMatrix(alternatives, criteria, values)
 
 
 def _is_pair(value, kinds: tuple[type, ...]) -> bool:

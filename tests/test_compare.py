@@ -55,6 +55,27 @@ class TestSawScores:
         np.testing.assert_allclose(scores, golden.EXAMPLE1_SAW_DWM, atol=1e-12)
         assert int(np.argmax(scores)) == golden.EXAMPLE1_TOP_ALTERNATIVE
 
+    def test_correlated_weightings_can_pick_different_alternatives(
+        self, example1, example2
+    ):
+        # the paper's agreement is between weight vectors; the alternative
+        # SAW picks from them may still differ
+        picks = {}
+        for name, matrix in (("example1", example1), ("example2", example2)):
+            shares = normalize_columns(matrix)
+            entropy, dwm = entropy_weights(matrix)[0], dwm_weights(matrix)[0]
+            by_entropy, by_dwm = saw_scores(shares, entropy), saw_scores(shares, dwm)
+            picks[name] = (
+                matrix.alternatives[int(np.argmax(by_entropy))],
+                matrix.alternatives[int(np.argmax(by_dwm))],
+                round(pearson(entropy.weights, dwm.weights), 3),
+                round(spearman(by_entropy, by_dwm), 12),
+            )
+        assert picks == {
+            "example1": ("A3", "A3", 0.997, 1.0),
+            "example2": ("HMM", "YM", 0.975, 0.8),
+        }
+
     def test_dimension_mismatch(self, example1):
         shares = normalize_columns(example1)
         with pytest.raises(DimensionMismatch):

@@ -10,6 +10,7 @@ from mcdm_weights import (
     BadDims,
     BadRange,
     CriterionSpec,
+    DecisionMatrix,
     DuplicateCriterionName,
     LikertMap,
     NonFiniteValue,
@@ -18,6 +19,11 @@ from mcdm_weights import (
     UnknownGrade,
     WeightVector,
     apply_likert,
+    build_report,
+    compare_weights,
+    dwm_weights,
+    emit_report,
+    entropy_weights,
     generate_matrix,
     validate_matrix,
 )
@@ -110,6 +116,104 @@ class TestValidateMatrix:
         rows[1] = [7.0, 8.0]
         for m in (from_array, from_rows):
             np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+# NaN at (2, 1) and inf at (1, 3) of a Fortran-ordered grid: row-major
+# order meets (1, 3) first, the grid's memory order (2, 1)
+NON_FINITE = np.ones((4, 4), order="F")
+NON_FINITE[2, 1] = math.nan
+NON_FINITE[1, 3] = math.inf
+SQUARE = [[1.0, 2.0], [3.0, 4.0]]
+
+#: grids and labels that both ways into a DecisionMatrix refuse, as (values,
+#: alternatives, criteria, error); None labels are validate_matrix's defaults
+INVALID = {
+    "non-finite": (NON_FINITE, None, None, NonFiniteValue),
+    "inf": ([[1.0, math.inf], [2.0, 3.0]], None, None, NonFiniteValue),
+    "one-row": ([[1.0, 2.0, 3.0]], None, None, TooFewAlternatives),
+    "no-rows": ([], None, None, TooFewAlternatives),
+    "no-columns": (np.empty((3, 0)), None, None, BadDims),
+    "1-d": (np.ones(3), None, None, NonRectangular),
+    "ragged": ([[1.0, 2.0], [3.0]], None, None, NonRectangular),
+    "label-count": (SQUARE, ["A1"], ["x", "y"], NonRectangular),
+    "spec-count": (SQUARE, ["A1", "A2"], ["x"], NonRectangular),
+    "duplicate-name": (SQUARE, ["A1", "A2"], ["x", "x"], DuplicateCriterionName),
+    "duplicate-spec": (
+        SQUARE, ["A1", "A2"], ["x", CriterionSpec("x")], DuplicateCriterionName
+    ),
+}
+
+
+def refusal(build, *args):
+    """The class, message and attributes (a fault's position) of the error
+    ``build(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        build(*args)
+    return type(info.value), str(info.value), vars(info.value)
+
+
+@pytest.mark.parametrize("case", INVALID.values(), ids=INVALID.keys())
+def test_the_constructor_refuses_what_validate_matrix_refuses(case):
+    values, alternatives, criteria, error = case
+    via_validate = refusal(validate_matrix, values, alternatives, criteria)
+    # a grid fault is raised before any label is read, so where
+    # validate_matrix fills in default labels the constructor gets none
+    via_type = refusal(DecisionMatrix, alternatives or (), criteria or (), values)
+    assert via_validate[0] is error
+    assert via_type == via_validate
+
+
+class TestMemoryLayout:
+    """One grid weighs to the same bits in any memory layout."""
+
+    GRID = np.random.default_rng(27).uniform(1.0, 100.0, size=(3000, 20))
+
+    def layouts(self):
+        grid = self.GRID
+        wider = np.zeros((grid.shape[0], 2 * grid.shape[1]))
+        wider[:, 1::2] = grid
+        return {
+            "c-order": np.ascontiguousarray(grid),
+            "fortran-order": np.asfortranarray(grid),
+            "transposed": np.ascontiguousarray(grid.T).T,
+            "negative-strides": np.ascontiguousarray(grid[::-1, ::-1])[::-1, ::-1],
+            "column-slice": wider[:, 1::2],
+        }
+
+    @staticmethod
+    def weighed(values):
+        """Bytes of every array both weighers return, and the report's JSON
+        and CSV."""
+        matrix = validate_matrix(values)
+        entropy, dwm = entropy_weights(matrix), dwm_weights(matrix)
+        arrays = [
+            np.asarray(array).tobytes()
+            for weights, breakdown in (entropy, dwm)
+            for array in (weights.weights, *vars(breakdown).values())
+        ]
+        report = build_report(
+            matrix.criterion_names,
+            "0" * 64,
+            entropy,
+            dwm,
+            compare_weights(entropy[0], dwm[0]),
+        )
+        return arrays, emit_report(report, "json"), emit_report(report, "csv")
+
+    def test_values_are_a_read_only_c_ordered_copy(self):
+        for name, values in self.layouts().items():
+            checked = validate_matrix(values)
+            direct = DecisionMatrix(checked.alternatives, checked.criteria, values)
+            for matrix in (checked, direct):
+                assert matrix.values.flags.c_contiguous, name
+                assert not matrix.values.flags.writeable, name
+                assert np.array_equal(matrix.values, self.GRID), name
+
+    def test_weights_breakdowns_and_reports_do_not_depend_on_layout(self):
+        layouts = self.layouts()
+        expected = self.weighed(layouts.pop("c-order"))
+        for name, values in layouts.items():
+            assert self.weighed(values) == expected, name
 
 
 class TestLikert:

@@ -127,7 +127,8 @@ def grids():
         yield grid
     for i in range(10):
         tall = rng.uniform(1.0, 100.0, size=(5000, 20))
-        # half of them Fortran-ordered, as a transposed input leaves them
+        # half of them Fortran-ordered, as a transposed input leaves them;
+        # a DecisionMatrix stores every grid C-ordered
         yield np.asfortranarray(tall) if i % 2 else tall
 
 
@@ -140,7 +141,7 @@ def test_weights_and_breakdowns_equal_the_reference_formulas(method, reference):
     compared = 0
     for grid in grids():
         got = outcome(method, validate_matrix(grid))
-        expected = outcome(reference, grid)
+        expected = outcome(reference, np.ascontiguousarray(grid))
         if isinstance(expected[0], type):
             assert got == expected
             continue
