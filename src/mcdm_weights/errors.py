@@ -22,7 +22,8 @@ class MethodError(McdmError):
 
 
 class NonRectangular(InputError):
-    """Grid rows or labels disagree in length."""
+    """A grid that is not 2-D, is ragged or holds a cell that is not a real
+    number, or labels that disagree with its shape."""
 
 
 class NonFiniteValue(InputError):

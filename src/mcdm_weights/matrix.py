@@ -141,6 +141,17 @@ def _freeze_fields(instance, *names: str) -> None:
         raise ValueError(f"{', '.join(names)} must have one length")
 
 
+@lru_cache(maxsize=32)
+def _default_alternatives(n_rows: int) -> tuple[str, ...]:
+    return tuple(f"A{i + 1}" for i in range(n_rows))
+
+
+@lru_cache(maxsize=32)
+def _default_criteria(n_cols: int) -> tuple[CriterionSpec, ...]:
+    # CriterionSpec is frozen, so every matrix of this width can share these
+    return tuple(CriterionSpec(f"C{j + 1}") for j in range(n_cols))
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
     """Alternatives x criteria value grid, checked when it is built.
@@ -148,31 +159,32 @@ class DecisionMatrix:
     ``values`` is kept as a read-only, C-ordered float64 copy, so a grid
     weighs to the same bits in any memory layout; the labels are kept as a
     tuple of str and a tuple of CriterionSpec (a str is a criterion name).
+    ``None`` for either label field names the rows ``A1, A2, ...`` or the
+    columns ``C1, C2, ...``.
 
     Raises:
-        NonRectangular: a grid not 2-D or ragged, or a wrong label count.
+        NonRectangular: a grid that is not 2-D, is ragged or holds a cell
+            that is not a real number, or a wrong label count.
         TooFewAlternatives: fewer than 2 rows.
         BadDims: zero columns.
         NonFiniteValue: NaN or infinity, the first in row-major order.
         DuplicateCriterionName: repeated criterion name.
     """
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[CriterionSpec, ...]
+    alternatives: tuple[str, ...] | None
+    criteria: tuple[CriterionSpec, ...] | None
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = self.values
-        if isinstance(values, np.ndarray):
-            if values.ndim != 2:
-                raise NonRectangular(f"expected a 2-D grid, got {values.ndim}-D")
-        else:
-            widths = {len(row) for row in values}
-            if not widths:
-                raise TooFewAlternatives("matrix has no rows")
-            if len(widths) != 1:
-                raise NonRectangular(f"row lengths differ: {sorted(widths)}")
-        grid = _readonly(values)
+        try:
+            grid = _readonly(self.values)
+        except (TypeError, ValueError) as exc:
+            # numpy refuses ragged rows and cells that are not real numbers
+            raise NonRectangular(f"not a grid of real numbers: {exc}") from None
+        if grid.shape == (0,):
+            raise TooFewAlternatives("matrix has no rows")
+        if grid.ndim != 2:
+            raise NonRectangular(f"expected a 2-D grid, got {grid.ndim}-D")
 
         n_rows, n_cols = grid.shape
         if n_rows < 2:
@@ -183,14 +195,20 @@ class DecisionMatrix:
         if bad := _first_fault(~np.isfinite(grid)):
             raise NonFiniteValue(*bad)
 
-        labels = tuple(map(str, self.alternatives))
+        if self.alternatives is None:
+            labels = _default_alternatives(n_rows)
+        else:
+            labels = tuple(map(str, self.alternatives))
         if len(labels) != n_rows:
             raise NonRectangular(f"{len(labels)} alternative labels for {n_rows} rows")
 
-        specs = tuple(
-            spec if isinstance(spec, CriterionSpec) else CriterionSpec(str(spec))
-            for spec in self.criteria
-        )
+        if self.criteria is None:
+            specs = _default_criteria(n_cols)
+        else:
+            specs = tuple(
+                spec if isinstance(spec, CriterionSpec) else CriterionSpec(str(spec))
+                for spec in self.criteria
+            )
         if len(specs) != n_cols:
             raise NonRectangular(f"{len(specs)} criterion specs for {n_cols} columns")
         seen: set[str] = set()
@@ -279,17 +297,6 @@ def _pow2_scaled(values: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
     return np.ldexp(values, -exponent), mantissa, exponent
 
 
-@lru_cache(maxsize=32)
-def _default_alternatives(n_rows: int) -> tuple[str, ...]:
-    return tuple(f"A{i + 1}" for i in range(n_rows))
-
-
-@lru_cache(maxsize=32)
-def _default_criteria(n_cols: int) -> tuple[CriterionSpec, ...]:
-    # CriterionSpec is frozen, so every matrix of this width can share these
-    return tuple(CriterionSpec(f"C{j + 1}") for j in range(n_cols))
-
-
 def validate_matrix(
     values: Sequence[Sequence[float]] | np.ndarray,
     alternatives: Sequence[str] | None = None,
@@ -301,15 +308,6 @@ def validate_matrix(
     Idempotent: feeding a matrix's own fields back returns an equal matrix.
     Raises what :class:`DecisionMatrix` raises, in the same order.
     """
-    # sizes the default labels only: DecisionMatrix checks the grid first
-    if isinstance(values, np.ndarray):
-        n_rows, n_cols = (*values.shape, 0, 0)[:2]
-    else:
-        n_rows, n_cols = len(values), len(values[0]) if len(values) else 0
-    if alternatives is None:
-        alternatives = _default_alternatives(n_rows)
-    if criteria is None:
-        criteria = _default_criteria(n_cols)
     return DecisionMatrix(alternatives, criteria, values)
 
 

@@ -401,6 +401,13 @@ class TestParseMatrix:
 
 
 class TestReports:
+    @pytest.mark.parametrize("io_call", [emit_report, parse_report])
+    def test_unknown_format_refused(self, example1, io_call):
+        report = both_methods_report(example1)
+        document = report if io_call is emit_report else emit_report(report)
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            io_call(document, "xml")
+
     def test_json_roundtrip(self, example1):
         report = both_methods_report(example1, notes=("fixture run",))
         assert parse_report(emit_report(report, "json"), "json") == report

@@ -91,6 +91,11 @@ class TestValidateMatrix:
         m = validate_matrix([[1.0, 2.0], [3.0, 4.0]])
         assert m.alternatives == ("A1", "A2")
         assert m.criterion_names == ("C1", "C2")
+        grid = np.arange(1.0, 13.0).reshape(4, 3)
+        built = DecisionMatrix(None, None, grid)
+        assert built == validate_matrix(grid)
+        assert built.alternatives == ("A1", "A2", "A3", "A4")
+        assert built.criterion_names == ("C1", "C2", "C3")
 
     def test_idempotent(self):
         m = validate_matrix(
@@ -135,6 +140,10 @@ INVALID = {
     "no-columns": (np.empty((3, 0)), None, None, BadDims),
     "1-d": (np.ones(3), None, None, NonRectangular),
     "ragged": ([[1.0, 2.0], [3.0]], None, None, NonRectangular),
+    "1-d-list": ([1.0, 2.0], None, None, NonRectangular),
+    "3-d-list": ([[[1.0, 2.0]], [[3.0, 4.0]]], None, None, NonRectangular),
+    "non-numeric-cell": ([["1", "x"], ["2", "3"]], None, None, NonRectangular),
+    "complex-cell": ([[1.0, 2j], [3.0, 4.0]], None, None, NonRectangular),
     "label-count": (SQUARE, ["A1"], ["x", "y"], NonRectangular),
     "spec-count": (SQUARE, ["A1", "A2"], ["x"], NonRectangular),
     "duplicate-name": (SQUARE, ["A1", "A2"], ["x", "x"], DuplicateCriterionName),
