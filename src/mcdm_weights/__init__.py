@@ -40,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateCriterionName,
     InputError,
-    LengthMismatch,
     McdmError,
     MethodError,
     NegativeEntry,
@@ -52,7 +51,6 @@ from .errors import (
     ZeroColumn,
 )
 from .io import (
-    ReportDocument,
     build_report,
     emit_matrix,
     emit_plot_series,
@@ -69,7 +67,6 @@ from .matrix import (
     DecisionMatrix,
     LikertMap,
     WeightVector,
-    apply_likert,
     generate_matrix,
     validate_matrix,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "DEFAULT_LIKERT_MAP",
     "LikertMap",
     "WeightVector",
-    "apply_likert",
     "generate_matrix",
     "validate_matrix",
     # entropy method
@@ -102,7 +98,6 @@ __all__ = [
     "saw_scores",
     "spearman",
     # input/output
-    "ReportDocument",
     "build_report",
     "emit_matrix",
     "emit_plot_series",
@@ -124,7 +119,6 @@ __all__ = [
     "DegenerateMean",
     "DimensionMismatch",
     "DuplicateCriterionName",
-    "LengthMismatch",
     "NegativeEntry",
     "NonFiniteValue",
     "NonRectangular",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dispersion import dwm_weights
 from .entropy import entropy_weights
-from .errors import ConstantVector, DimensionMismatch, LengthMismatch
+from .errors import ConstantVector, DimensionMismatch
 from .matrix import DecisionMatrix, WeightVector, _pow2_scaled
 
 
@@ -107,10 +107,10 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    # two vectors as 1-D float64 arrays of one shape, else LengthMismatch
+    # two vectors as 1-D float64 arrays of one shape, else DimensionMismatch
     xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
-        raise LengthMismatch(f"got shapes {xs.shape} and {ys.shape}")
+        raise DimensionMismatch(f"got shapes {xs.shape} and {ys.shape}")
     return xs, ys
 
 
@@ -118,12 +118,12 @@ def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 
     Raises:
-        LengthMismatch: lengths differ or are below 2.
+        DimensionMismatch: lengths differ or are below 2.
         ConstantVector: either vector has zero variance.
     """
     xs, ys = _pair(x, y)
     if xs.size < 2:
-        raise LengthMismatch("need at least 2 points")
+        raise DimensionMismatch("need at least 2 points")
     r, constant = _pearson_rows(xs, ys)
     if constant:
         raise ConstantVector("correlation of a constant vector is undefined")

@@ -22,8 +22,9 @@ class MethodError(McdmError):
 
 
 class NonRectangular(InputError):
-    """A grid that is not 2-D, is ragged or holds a cell that is not a real
-    number, or labels that disagree with its shape."""
+    """A grid that is not 2-D, is ragged, is complex or holds a cell that is
+    not a real number or an int past the float range, or labels that
+    disagree with its shape."""
 
 
 class NonFiniteValue(InputError):
@@ -73,11 +74,7 @@ class ParseError(InputError):
 
 
 class DimensionMismatch(InputError):
-    """Paired structures disagree in criterion count."""
-
-
-class LengthMismatch(InputError):
-    """Paired vectors disagree in length, or are too short."""
+    """Paired inputs disagree in size, or are too short to compare."""
 
 
 # ---------------------------------------------------------------- method

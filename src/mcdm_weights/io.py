@@ -17,7 +17,6 @@ import csv
 import functools
 import hashlib
 import json
-import os
 from io import StringIO
 from pathlib import Path
 
@@ -279,10 +278,6 @@ def sha256_digest(text: str) -> str:
 
 # ---------------------------------------------------------------- reports
 
-#: A report is its JSON document: a dict in emitted key order whose values
-#: are already quantized, so emitting and re-parsing yields an equal value.
-ReportDocument = dict
-
 #: Every field of the entropy, dwm and comparison blocks, in emitted order, as
 #: (block, JSON key, CSV name, kind). A "column" field holds one value per
 #: criterion and becomes a CSV table column; a "meta" field holds one value
@@ -339,7 +334,7 @@ def build_report(
     dwm: tuple[WeightVector, DispersionBreakdown] | None = None,
     comparison: ComparisonReport | None = None,
     notes: tuple[str, ...] = (),
-) -> ReportDocument:
+) -> dict:
     """Assemble a report from full-precision results.
 
     Ranks are extracted before quantization; printed values are rounded to
@@ -355,7 +350,7 @@ def build_report(
             than the criteria; or ``comparison`` is given but is not
             ``compare_weights`` of both blocks, or either block is missing.
     """
-    doc: ReportDocument = {
+    doc = {
         "schema": REPORT_SCHEMA,
         "tool": TOOL,
         "input_digest": input_digest,
@@ -388,7 +383,7 @@ def build_report(
     return doc
 
 
-def emit_report(report: ReportDocument, format: str = "json") -> str:
+def emit_report(report: dict, format: str = "json") -> str:
     """Serialize a report; absent blocks are omitted, never null-filled."""
     if format == "json":
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
@@ -409,7 +404,7 @@ def emit_report(report: ReportDocument, format: str = "json") -> str:
     return "\n".join(lines) + "\n" + _table(report["criteria"], columns)
 
 
-def parse_report(text: str, format: str = "json") -> ReportDocument:
+def parse_report(text: str, format: str = "json") -> dict:
     """Inverse of emit_report for both formats.
 
     In CSV, ``# name=value`` metadata lines are read only above the table
@@ -438,7 +433,7 @@ def parse_report(text: str, format: str = "json") -> ReportDocument:
     index = {name: pos for pos, name in enumerate(header)}
 
     names = {name for _, _, name, _ in REPORT_FIELDS}
-    doc: ReportDocument = {k: v for k, v in meta.items() if k not in names}
+    doc = {k: v for k, v in meta.items() if k not in names}
     doc["criteria"] = [row[0] for row in rows]
     if notes:
         doc["notes"] = notes
@@ -467,9 +462,8 @@ def emit_plot_series(
 
 
 def fixture_path(name: str) -> Path:
-    """A bundled dataset's path; MCDM_FIXTURES overrides their directory."""
-    override = os.environ.get("MCDM_FIXTURES")
-    return (Path(override) if override else Path(__file__).parent / "fixtures") / name
+    """A bundled dataset's path."""
+    return Path(__file__).parent / "fixtures" / name
 
 
 def load_fixture(

@@ -47,11 +47,7 @@ class CriterionSpec:
 @dataclass(frozen=True)
 class LikertMap:
     """Ordered verbal-grade scale with strictly increasing, finite, positive
-    scores.
-
-    Grades match case- and whitespace-insensitively. Reverse coding reflects
-    a score about the scale midpoint: ``reversed = (max + min) - score``.
-    """
+    scores; grades match case- and whitespace-insensitively."""
 
     grades: tuple[tuple[str, float], ...]
     #: normalized label -> (score, reverse-coded score)
@@ -84,6 +80,9 @@ class LikertMap:
         return " ".join(grade.split()).casefold()
 
     def score(self, grade: str, reverse: bool = False) -> float:
+        """A verbal grade's score; ``reverse`` reflects it about the scale
+        midpoint to ``(max + min) - score``, so on the default 1-7 scale
+        "Extremely high" becomes 1."""
         try:
             forward, reflected = self._scores[self._key(grade)]
         except KeyError:
@@ -104,17 +103,6 @@ DEFAULT_LIKERT_MAP = LikertMap(
         ("Extremely high", 7.0),
     )
 )
-
-
-def apply_likert(
-    grade: str, likert_map: LikertMap = DEFAULT_LIKERT_MAP, reverse: bool = False
-) -> float:
-    """Convert a verbal grade to its numeric score.
-
-    With ``reverse`` the score is reflected about the scale midpoint, so on
-    the default 1-7 scale "Extremely high" becomes 1.
-    """
-    return likert_map.score(grade, reverse=reverse)
 
 
 def _readonly(values) -> np.ndarray:
@@ -163,8 +151,9 @@ class DecisionMatrix:
     columns ``C1, C2, ...``.
 
     Raises:
-        NonRectangular: a grid that is not 2-D, is ragged or holds a cell
-            that is not a real number, or a wrong label count.
+        NonRectangular: a grid that is not 2-D, is ragged, is complex or
+            holds a cell that is not a real number or an int past the float
+            range, or a wrong label count.
         TooFewAlternatives: fewer than 2 rows.
         BadDims: zero columns.
         NonFiniteValue: NaN or infinity, the first in row-major order.
@@ -177,9 +166,13 @@ class DecisionMatrix:
 
     def __post_init__(self):
         try:
-            grid = _readonly(self.values)
-        except (TypeError, ValueError) as exc:
-            # numpy refuses ragged rows and cells that are not real numbers
+            raw = np.asarray(self.values)
+            # the float64 copy would drop an imaginary part without a word
+            if raw.dtype.kind == "c":
+                raise NonRectangular("not a grid of real numbers: complex values")
+            grid = _readonly(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # numpy refuses ragged rows, non-real cells and ints past the float range
             raise NonRectangular(f"not a grid of real numbers: {exc}") from None
         if grid.shape == (0,):
             raise TooFewAlternatives("matrix has no rows")

@@ -17,8 +17,8 @@ import pytest
 from mcdm_weights import (
     BadDims,
     ConstantVector,
+    DimensionMismatch,
     InputError,
-    LengthMismatch,
     MethodError,
     dwm_weights,
     entropy_weights,
@@ -63,7 +63,7 @@ def oracle_bench(trials, seed, dims, value_range):
         compared += 1
         try:
             pearsons.append(pearson(we, wd))
-        except (ConstantVector, LengthMismatch):
+        except (ConstantVector, DimensionMismatch):
             pass
         agreements += int(np.argmax(we)) == int(np.argmax(wd))
 

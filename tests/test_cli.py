@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -364,3 +365,18 @@ class TestDeterminism:
         assert fixture_path("example1.csv").exists()
         code, out, _ = run(capsys, "weigh", "--input", "example1.csv")
         assert code == 0 and out != ""
+
+
+def test_version_has_one_source(capsys):
+    # pyproject.toml's [project] version, read by pattern: Python 3.10, the
+    # oldest supported, has no tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(
+        r'^\[project\]\n(?:[^\[\n].*\n|\n)*?version = "([^"]+)"$',
+        pyproject.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    ).group(1)
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out == f"{declared}\n"
+    assert mcdm_weights.__version__ == declared

@@ -25,7 +25,6 @@ PINNED = {
     "math",
     "numpy",
     "operator",
-    "os",
     "pathlib",
     "re",
     "sys",

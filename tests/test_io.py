@@ -24,8 +24,6 @@ from mcdm_weights import (
     emit_plot_series,
     emit_report,
     entropy_weights,
-    fixture_path,
-    load_fixture,
     parse_matrix,
     parse_report,
     rank_desc,
@@ -596,14 +594,6 @@ class TestPlotSeries:
 
 
 class TestFixtures:
-    def test_fixture_dir_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "example1.csv"
-        target.write_text(fixture_path("example1.csv").read_text())
-        monkeypatch.setenv("MCDM_FIXTURES", str(tmp_path))
-        assert fixture_path("example1.csv") == target
-        m = load_fixture("example1.csv")
-        np.testing.assert_array_equal(m.values, np.array(golden.EXAMPLE1_VALUES))
-
     def test_digest_is_stable(self):
         assert sha256_digest("abc") == (
             "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"

@@ -18,7 +18,6 @@ from mcdm_weights import (
     TooFewAlternatives,
     UnknownGrade,
     WeightVector,
-    apply_likert,
     build_report,
     compare_weights,
     dwm_weights,
@@ -144,6 +143,11 @@ INVALID = {
     "3-d-list": ([[[1.0, 2.0]], [[3.0, 4.0]]], None, None, NonRectangular),
     "non-numeric-cell": ([["1", "x"], ["2", "3"]], None, None, NonRectangular),
     "complex-cell": ([[1.0, 2j], [3.0, 4.0]], None, None, NonRectangular),
+    "complex-array": (np.array([[1j, 1], [1, 1]]), None, None, NonRectangular),
+    "numpy-complex-cell": (
+        [[np.complex128(2j), 1.0], [1.0, 1.0]], None, None, NonRectangular
+    ),
+    "int-past-float-range": ([[10**400, 1], [1, 1]], None, None, NonRectangular),
     "label-count": (SQUARE, ["A1"], ["x", "y"], NonRectangular),
     "spec-count": (SQUARE, ["A1", "A2"], ["x"], NonRectangular),
     "duplicate-name": (SQUARE, ["A1", "A2"], ["x", "x"], DuplicateCriterionName),
@@ -227,25 +231,25 @@ class TestMemoryLayout:
 
 class TestLikert:
     def test_forward_scores(self):
-        assert apply_likert("Extremely high") == 7
-        assert apply_likert("Medium") == 4
-        assert apply_likert("Low") == 2
+        assert DEFAULT_LIKERT_MAP.score("Extremely high") == 7
+        assert DEFAULT_LIKERT_MAP.score("Medium") == 4
+        assert DEFAULT_LIKERT_MAP.score("Low") == 2
 
     def test_reverse_reflects_about_midpoint(self):
-        assert apply_likert("Extremely high", reverse=True) == 1
-        assert apply_likert("Relatively high", reverse=True) == 3
-        assert apply_likert("Medium", reverse=True) == 4
+        assert DEFAULT_LIKERT_MAP.score("Extremely high", reverse=True) == 1
+        assert DEFAULT_LIKERT_MAP.score("Relatively high", reverse=True) == 3
+        assert DEFAULT_LIKERT_MAP.score("Medium", reverse=True) == 4
 
     def test_unknown_grade(self):
         with pytest.raises(UnknownGrade):
-            apply_likert("Stupendous")
+            DEFAULT_LIKERT_MAP.score("Stupendous")
 
     def test_lookup_ignores_case_and_spacing(self):
-        assert apply_likert("extremely  HIGH") == 7
+        assert DEFAULT_LIKERT_MAP.score("extremely  HIGH") == 7
 
     def test_double_reverse_is_identity(self):
         for grade, score in DEFAULT_LIKERT_MAP.grades:
-            once = apply_likert(grade, reverse=True)
+            once = DEFAULT_LIKERT_MAP.score(grade, reverse=True)
             lo, hi = DEFAULT_LIKERT_MAP.grades[0][1], DEFAULT_LIKERT_MAP.grades[-1][1]
             assert (hi + lo) - once == score
 
