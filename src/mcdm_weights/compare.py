@@ -14,8 +14,9 @@ import numpy as np
 
 from .dispersion import dwm_weights
 from .entropy import entropy_weights
-from .errors import ConstantVector, DimensionMismatch
-from .matrix import DecisionMatrix, WeightVector, _pow2_scaled
+from .errors import ConstantVector, DimensionMismatch, NonFiniteValue
+from .matrix import DecisionMatrix, WeightVector, _pow2_scaled, _readonly
+from .matrix import _first_fault
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,20 @@ def saw_scores(shares: np.ndarray, weights: WeightVector) -> np.ndarray:
     as a read-only float64 array.
 
     Raises:
+        NonRectangular: ``shares`` is ragged, complex or not real numbers.
         DimensionMismatch: ``shares`` is not 2-D or has the wrong width.
+        NonFiniteValue: a NaN or infinite share, the first in row-major
+            order.
     """
-    shares = np.asarray(shares, dtype=np.float64)
+    shares = _readonly(shares)
     if shares.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D share matrix, got {shares.ndim}-D")
     if len(weights) != shares.shape[1]:
         raise DimensionMismatch(
             f"{len(weights)} weights for {shares.shape[1]} criteria"
         )
+    if bad := _first_fault(~np.isfinite(shares)):
+        raise NonFiniteValue(*bad)
     scores = shares @ weights.weights
     scores.flags.writeable = False
     return scores
@@ -68,8 +74,15 @@ def saw_scores(shares: np.ndarray, weights: WeightVector) -> np.ndarray:
 
 def rank_desc(values) -> tuple[int, ...]:
     """Rank positions with 1 for the largest value; ties break toward the
-    lower index so output is always a strict permutation."""
-    v = np.asarray(values, dtype=np.float64)
+    lower index so output is always a strict permutation.
+
+    Raises:
+        NonRectangular: ``values`` is ragged, complex or not real numbers.
+        ValueError: ``values`` is not 1-D, or is empty.
+    """
+    v = _readonly(values)
+    if v.ndim != 1:
+        raise ValueError(f"can only rank a 1-D vector, got {v.ndim}-D")
     if not v.size:
         raise ValueError("cannot rank an empty vector")
     ranks = np.empty(v.size, dtype=np.int64)
@@ -107,10 +120,12 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    # two vectors as 1-D float64 arrays of one shape, else DimensionMismatch
-    xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    # two finite vectors as 1-D float64 arrays of one shape
+    xs, ys = _readonly(x), _readonly(y)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise DimensionMismatch(f"got shapes {xs.shape} and {ys.shape}")
+    if bad := _first_fault(~np.isfinite(np.stack((xs, ys)))):
+        raise NonFiniteValue(*bad)
     return xs, ys
 
 
@@ -118,7 +133,12 @@ def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 
     Raises:
-        DimensionMismatch: lengths differ or are below 2.
+        NonRectangular: either vector is ragged, complex or not real
+            numbers.
+        DimensionMismatch: the vectors are not 1-D of one length, or are
+            shorter than 2.
+        NonFiniteValue: a NaN or infinity; its ``row`` is the vector (0
+            for x, 1 for y) and its ``col`` the index.
         ConstantVector: either vector has zero variance.
     """
     xs, ys = _pair(x, y)
@@ -132,15 +152,15 @@ def pearson(x, y) -> float:
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
     # descending average ranks; tied values share the mean of their positions
-    # (each NaN stays its own group, ranked last in index order)
-    _, inverse, counts = np.unique(
-        -values, return_inverse=True, return_counts=True, equal_nan=False
-    )
+    _, inverse, counts = np.unique(-values, return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float:
-    """Rank correlation: Pearson's r over fractional (average) ranks."""
+    """Rank correlation: Pearson's r over fractional (average) ranks.
+
+    Raises what :func:`pearson` raises, in the same order.
+    """
     return pearson(*map(_fractional_ranks, _pair(x, y)))
 
 

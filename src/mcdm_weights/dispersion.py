@@ -38,6 +38,9 @@ class DispersionBreakdown:
             raise ValueError("standard deviations must be nonnegative")
         if np.count_nonzero(self.cv < 0.0):
             raise ValueError("coefficients of variation must be nonnegative")
+        # a NaN passes both sign checks, and the JSON report refuses it untyped
+        if np.count_nonzero(~np.isfinite(np.stack((self.mean, self.std, self.cv)))):
+            raise ValueError("mean, std and cv must be finite")
 
 
 def _dwm_columns(values: np.ndarray) -> tuple[np.ndarray, ...]:

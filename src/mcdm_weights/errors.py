@@ -22,13 +22,14 @@ class MethodError(McdmError):
 
 
 class NonRectangular(InputError):
-    """A grid that is not 2-D, is ragged, is complex or holds a cell that is
-    not a real number or an int past the float range, or labels that
-    disagree with its shape."""
+    """An array that is ragged, is complex or holds a cell that is not a
+    real number or an int past the float range, a grid that is not 2-D, or
+    labels that disagree with a grid's shape."""
 
 
 class NonFiniteValue(InputError):
-    """NaN or infinity found in the grid."""
+    """NaN or infinity found in a grid, at (row, column); in a vector pair
+    the row is the vector, 0 for x and 1 for y."""
 
     def __init__(self, row: int, col: int):
         self.row = row

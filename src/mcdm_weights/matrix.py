@@ -106,8 +106,21 @@ DEFAULT_LIKERT_MAP = LikertMap(
 
 
 def _readonly(values) -> np.ndarray:
-    """A C-ordered float64 copy of ``values`` that cannot be written to."""
-    frozen = np.array(values, dtype=np.float64, order="C")
+    """The read-only, C-ordered float64 copy of any array a caller passes.
+
+    Raises:
+        NonRectangular: ``values`` is ragged, is complex or holds a cell
+            that is not a real number or an int past the float range.
+    """
+    try:
+        raw = np.asarray(values)
+        # the float64 copy would drop an imaginary part without a word
+        if raw.dtype.kind == "c":
+            raise NonRectangular("not an array of real numbers: complex values")
+        frozen = np.array(raw, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        # numpy refuses ragged rows, non-real cells and ints past the float range
+        raise NonRectangular(f"not an array of real numbers: {exc}") from None
     frozen.flags.writeable = False
     return frozen
 
@@ -165,15 +178,7 @@ class DecisionMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        try:
-            raw = np.asarray(self.values)
-            # the float64 copy would drop an imaginary part without a word
-            if raw.dtype.kind == "c":
-                raise NonRectangular("not a grid of real numbers: complex values")
-            grid = _readonly(raw)
-        except (TypeError, ValueError, OverflowError) as exc:
-            # numpy refuses ragged rows, non-real cells and ints past the float range
-            raise NonRectangular(f"not a grid of real numbers: {exc}") from None
+        grid = _readonly(self.values)
         if grid.shape == (0,):
             raise TooFewAlternatives("matrix has no rows")
         if grid.ndim != 2:

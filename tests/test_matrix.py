@@ -11,7 +11,9 @@ from mcdm_weights import (
     BadRange,
     CriterionSpec,
     DecisionMatrix,
+    DispersionBreakdown,
     DuplicateCriterionName,
+    EntropyBreakdown,
     LikertMap,
     NonFiniteValue,
     NonRectangular,
@@ -24,6 +26,10 @@ from mcdm_weights import (
     emit_report,
     entropy_weights,
     generate_matrix,
+    pearson,
+    rank_desc,
+    saw_scores,
+    spearman,
     validate_matrix,
 )
 
@@ -174,6 +180,89 @@ def test_the_constructor_refuses_what_validate_matrix_refuses(case):
     via_type = refusal(DecisionMatrix, alternatives or (), criteria or (), values)
     assert via_validate[0] is error
     assert via_type == via_validate
+
+
+#: two-cell vectors that cannot be read as real numbers: numpy would drop
+#: an imaginary part with only a warning, or raise an untyped error
+UNREADABLE = {
+    "complex-array": np.array([0.5 + 1j, 0.5]),
+    "numpy-complex-cell": [np.complex128(0.5 + 1j), 0.5],
+    "complex-cell": [0.5 + 1j, 0.5],
+    "string-cell": ["a", 0.5],
+    "int-past-float-range": [10**400, 0.5],
+    "ragged": [[0.5, 0.5], 0.5],
+}
+
+
+def two_rows(vector):
+    """Two rows of ``vector``, an ndarray if it is one."""
+    if isinstance(vector, np.ndarray):
+        return np.stack((vector, vector))
+    return [vector, vector]
+
+
+HALVES = WeightVector((0.5, 0.5), "x")
+
+#: every public entry point that reads a caller's array, given ``vector``
+#: where it reads one and valid values elsewhere
+READERS = {
+    "DecisionMatrix": lambda vector: DecisionMatrix(None, None, two_rows(vector)),
+    "WeightVector": lambda vector: WeightVector(vector, "x"),
+    "EntropyBreakdown": lambda vector: EntropyBreakdown([0.5, 0.5], vector, 1.0),
+    "DispersionBreakdown": lambda vector: DispersionBreakdown(
+        [1.0, 2.0], [0.5, 0.5], vector
+    ),
+    "pearson": lambda vector: pearson([1.0, 2.0], vector),
+    "spearman": lambda vector: spearman(vector, [1.0, 2.0]),
+    "rank_desc": rank_desc,
+    "saw_scores": lambda vector: saw_scores(two_rows(vector), HALVES),
+}
+
+NAN, INF = math.nan, math.inf
+
+
+def at(row, col):
+    return f"non-finite value at row {row}, column {col}$"
+
+
+#: calls that refuse their input, as (call, args, error, a pattern its
+#: message matches); a NonFiniteValue in a vector pair names the vector,
+#: 0 for x and 1 for y, as its row. A warning on the way is raised as an
+#: error, so it fails the case
+REFUSED = {
+    **{
+        f"{reader}-{value}": (read, (vector,), NonRectangular, "real numbers")
+        for reader, read in READERS.items()
+        for value, vector in UNREADABLE.items()
+    },
+    "pearson-nan": (pearson, ([NAN, 2, 3], [1, 2, 4]), NonFiniteValue, at(0, 0)),
+    "pearson-inf": (pearson, ([1, 2, 3], [1, INF, 4]), NonFiniteValue, at(1, 1)),
+    "spearman-nan": (spearman, ([1, 2, 3], [1, 2, NAN]), NonFiniteValue, at(1, 2)),
+    "spearman-inf": (spearman, ([1, 2, -INF], [1, 2, 4]), NonFiniteValue, at(0, 2)),
+    "saw_scores-nan": (
+        saw_scores, ([[NAN, 2], [3, 4]], HALVES), NonFiniteValue, at(0, 0)
+    ),
+    "saw_scores-inf": (
+        saw_scores, ([[1, 2], [3, -INF]], HALVES), NonFiniteValue, at(1, 1)
+    ),
+    "rank_desc-2-d": (rank_desc, ([[1, 2], [3, 4]],), ValueError, "1-D vector"),
+    "DispersionBreakdown-nan-mean": (
+        DispersionBreakdown, ([NAN, 2], [1, 1], [NAN, 0.5]), ValueError, "finite"
+    ),
+    "DispersionBreakdown-inf-std": (
+        DispersionBreakdown, ([1, 2], [INF, 1], [INF, 0.5]), ValueError, "finite"
+    ),
+    "DispersionBreakdown-inf-cv": (
+        DispersionBreakdown, ([1, 2], [1, 1], [1, INF]), ValueError, "finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED.values(), ids=REFUSED.keys())
+def test_every_array_reader_refuses_unreadable_and_non_finite_input(case):
+    call, args, error, message = case
+    with pytest.raises(error, match=message):
+        call(*args)
 
 
 class TestMemoryLayout:
