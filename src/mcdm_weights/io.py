@@ -25,7 +25,7 @@ import numpy as np
 from .compare import ComparisonReport, compare_weights, rank_desc
 from .dispersion import DispersionBreakdown
 from .entropy import EntropyBreakdown
-from .errors import DimensionMismatch, ParseError, UnknownGrade
+from .errors import DimensionMismatch, InputError, ParseError, UnknownGrade
 from .matrix import (
     DEFAULT_LIKERT_MAP,
     CriterionSpec,
@@ -207,21 +207,6 @@ def _parse_rows(text: str, likert_map: LikertMap):
     return grid, alternatives, criteria
 
 
-def _unreadable(text: str, cell: str) -> str | None:
-    # why parse_matrix would not read ``cell``, written for ``text``, back
-    if not text:
-        return "is empty"
-    if text != text.strip():
-        return "has leading or trailing whitespace"
-    limit = csv.field_size_limit()
-    if len(cell) > limit:
-        return (
-            f"makes a {len(cell)}-character cell, "
-            f"over the CSV field limit of {limit}"
-        )
-    return None
-
-
 def _shown(text: str) -> str:
     # the text for an error message, cut short if it is long
     if len(text) <= 40:
@@ -232,43 +217,53 @@ def _shown(text: str) -> str:
 def emit_matrix(matrix: DecisionMatrix) -> str:
     """Render a matrix back to delimited text (numeric cells, full repr).
 
+    The text is read back before it is returned, so
     parse_matrix(emit_matrix(m)) reproduces m exactly.
 
     Raises:
-        ValueError: a label or criterion name that would not read back as
-            itself: one that is empty or padded with whitespace, a name
-            holding the ``:`` that starts an annotation, or one whose cell
-            is longer than ``csv.field_size_limit()``.
+        ValueError: the text would not read back as ``matrix``; the message
+            names the reader's fault or the first name or label that differs.
     """
     header = ["alternative"]
-    for j, spec in enumerate(matrix.criteria):
-        cell = spec.name
-        if spec.direction == "cost":
-            cell += ":cost"
-        if spec.likert_reverse:
-            cell += ":reverse"
-        reason = _unreadable(spec.name, cell)
-        if reason is None and ":" in spec.name:
-            reason = "holds ':', which starts an annotation"
-        if reason is not None:
-            raise ValueError(
-                f"cannot write criterion {j} name {_shown(spec.name)}: it {reason}"
-            )
-        header.append(cell)
-    for i, label in enumerate(matrix.alternatives):
-        reason = _unreadable(label, label)
-        if reason is not None:
-            raise ValueError(
-                f"cannot write alternative {i} label {_shown(label)}: it {reason}"
-            )
+    for spec in matrix.criteria:
+        cost = ":cost" if spec.direction == "cost" else ""
+        reverse = ":reverse" if spec.likert_reverse else ""
+        header.append(spec.name + cost + reverse)
     grid = zip(matrix.alternatives, matrix.values.tolist())
-    return _csv_text([header, *([label, *map(repr, row)] for label, row in grid)])
+    text = _csv_text([header, *([label, *map(repr, row)] for label, row in grid)])
+    try:
+        again = parse_matrix(text)
+    except InputError as exc:
+        # the reader's message may repeat a long name in full; keep its ends
+        fault = str(exc)
+        fault = fault if len(fault) <= 150 else f"{fault[:75]}...{fault[-75:]}"
+        raise ValueError(f"cannot write matrix: {fault}") from None
+    # once every name and label reads back unchanged, nothing else can differ:
+    # the annotations and the repr of each value read back exactly
+    n = matrix.n_criteria
+    wrote = (*matrix.criterion_names, *matrix.alternatives)
+    read = (*again.criterion_names, *again.alternatives)
+    for i, (mine, theirs) in enumerate(zip(wrote, read)):
+        if mine != theirs:
+            what = f"criterion {i} name" if i < n else f"alternative {i - n} label"
+            raise ValueError(
+                f"cannot write {what} {_shown(mine)}: it reads back as {_shown(theirs)}"
+            )
+    return text
+
+
+class _Lines(list):
+    write = list.append  # csv.writer hands write one whole row at a time
 
 
 def _csv_text(rows) -> str:
-    out = StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    # rows end in "\r\n", so a writer before Python 3.13 quotes a bare "\r"
+    lines = _Lines()
+    try:
+        csv.writer(lines, lineterminator="\r\n").writerows(rows)
+    except csv.Error as exc:  # Python 3.10's writer refuses a NUL
+        raise ValueError(f"cannot write CSV: {exc}") from None
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def sha256_digest(text: str) -> str:

@@ -114,8 +114,12 @@ def _readonly(values) -> np.ndarray:
     """
     try:
         raw = np.asarray(values)
-        # the float64 copy would drop an imaginary part without a word
-        if raw.dtype.kind == "c":
+        # the float64 copy would drop an imaginary part without a word; an
+        # object array, such as one holding an int past int64, hides it in a cell
+        if raw.dtype.kind == "c" or (
+            raw.dtype.kind == "O"
+            and any(isinstance(v, (complex, np.complexfloating)) for v in raw.flat)
+        ):
             raise NonRectangular("not an array of real numbers: complex values")
         frozen = np.array(raw, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError) as exc:

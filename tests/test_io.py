@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -332,26 +333,41 @@ class TestParseMatrix:
         [
             pytest.param(
                 ("x:y", "b"), ("A1", "A2"),
-                "cannot write criterion 0 name 'x:y': "
-                "it holds ':', which starts an annotation",
+                "cannot write matrix: line 1, column 2: unknown annotation 'y'",
                 id="colon-in-name",
             ),
             pytest.param(
                 ("a", " b "), ("A1", "A2"),
-                "cannot write criterion 1 name ' b ': "
-                "it has leading or trailing whitespace",
+                "cannot write criterion 1 name ' b ': it reads back as 'b'",
                 id="padded-name",
             ),
             pytest.param(
                 ("a", "b"), (" A1", "A2"),
-                "cannot write alternative 0 label ' A1': "
-                "it has leading or trailing whitespace",
+                "cannot write alternative 0 label ' A1': it reads back as 'A1'",
                 id="padded-label",
             ),
             pytest.param(
+                ("a", "b"), ("A1", "A2\r"),
+                "cannot write alternative 1 label 'A2\\r': it reads back as 'A2'",
+                id="label-ending-in-carriage-return",
+            ),
+            pytest.param(
                 ("a", "b"), ("A1", ""),
-                "cannot write alternative 1 label '': it is empty",
+                "cannot write matrix: line 3, column 1: missing alternative label",
                 id="empty-label",
+            ),
+            pytest.param(
+                # the reader's message repeats each name in full
+                ("y" * 100_000, " " + "y" * 100_000), ("A1", "A2"),
+                "cannot write matrix: criterion '" + "y" * 64
+                + "..." + "y" * 60 + "' appears twice",
+                id="long-duplicate-name",
+            ),
+            pytest.param(
+                ("x:" + "y" * 100_000, "b"), ("A1", "A2"),
+                "cannot write matrix: line 1, column 2: unknown annotation '"
+                + "y" * 37 + "..." + "y" * 74 + "'",
+                id="long-unknown-annotation",
             ),
         ],
     )
@@ -362,35 +378,80 @@ class TestParseMatrix:
         with pytest.raises(ValueError) as info:
             emit_matrix(m)
         assert str(info.value) == message
+        assert len(message) < 200
 
     @pytest.mark.parametrize(
-        "criteria, alternatives, start",
+        "criteria, alternatives, line",
         [
-            pytest.param(
-                ("a", "b"), ("x" * 200_000, "A2"),
-                "cannot write alternative 0 label 'xxxxxxxxxx",
-                id="long-label",
-            ),
+            pytest.param(("a", "b"), ("x" * 200_000, "A2"), 2, id="long-label"),
             pytest.param(
                 # the name alone fits; with its ":cost" suffix the cell does not
                 (CriterionSpec("y" * (csv.field_size_limit() - 4), "cost"), "b"),
                 ("A1", "A2"),
-                "cannot write criterion 0 name 'yyyyyyyyyy",
+                1,
                 id="long-annotated-name",
             ),
         ],
     )
     def test_emit_refuses_cell_over_the_csv_field_limit(
-        self, criteria, alternatives, start
+        self, criteria, alternatives, line
     ):
         m = validate_matrix([[1.0, 2.0], [3.0, 4.0]], alternatives, criteria)
         with pytest.raises(ValueError) as info:
             emit_matrix(m)
-        message = str(info.value)
-        assert message.startswith(start)
-        assert f"CSV field limit of {csv.field_size_limit()}" in message
-        # the message names the text without repeating all of it
-        assert len(message) < 200
+        assert str(info.value) == (
+            f"cannot write matrix: line {line}, column 1: "
+            f"field larger than field limit ({csv.field_size_limit()})"
+        )
+
+    @pytest.mark.parametrize(
+        "criteria, alternatives",
+        [
+            pytest.param(("x\ry", "b"), ("A1", "A2"), id="name"),
+            pytest.param(("a", "b"), ("A\r1", "A2"), id="label"),
+            pytest.param((CriterionSpec("x\r\ny", "cost", True), "b"), ("A1", "A2"),
+                         id="annotated-name"),
+        ],
+    )
+    def test_carriage_return_in_a_cell_round_trips(self, criteria, alternatives):
+        # a csv writer before Python 3.13 left a bare "\r" unquoted
+        m = validate_matrix([[1.0, 2.0], [3.0, 4.0]], alternatives, criteria)
+        assert parse_matrix(emit_matrix(m)) == m
+
+    def test_emit_matrix_text_reads_back_or_is_refused(self):
+        # seeded fuzz of the contract: names and labels built from csv's and
+        # the header's syntax, whitespace that csv keeps and str.strip drops,
+        # and the annotation words, half of them between two words so that
+        # the syntax sits inside the cell
+        pieces = (
+            ",", '"', ":", " ", "\t", "\r", "\n", "\x00", "\xa0", "\ufeff", "#",
+            "cost", "reverse",
+        )
+        rng = random.Random(31)
+
+        def draw():
+            inner = "".join(rng.choices(pieces, k=rng.randint(1, 4)))
+            return inner if rng.random() < 0.5 else f"cost{inner}reverse"
+
+        written = refused = 0
+        for _ in range(2000):
+            criteria = [
+                CriterionSpec(draw(), rng.choice(("benefit", "cost")), rng.random() < 0.5)
+                for _ in range(2)
+            ]
+            try:
+                m = validate_matrix([[1.0, 2.0], [3.0, 5.0]], (draw(), draw()), criteria)
+            except McdmError:
+                continue  # two equal names
+            try:
+                text = emit_matrix(m)
+            except ValueError as exc:
+                assert len(str(exc)) < 200
+                refused += 1
+                continue
+            assert parse_matrix(text) == m, text
+            written += 1
+        assert written > 100 and refused > 100
 
     def test_cell_at_the_csv_field_limit_round_trips(self):
         label = "x" * csv.field_size_limit()
@@ -526,6 +587,14 @@ class TestReports:
         report = both_methods_report(m)
         assert parse_report(emit_report(report, "csv"), "csv") == report
 
+    @pytest.mark.parametrize("name", ["x\ry", "x\ny", "x\r\ny", "x,y", 'x"y'])
+    def test_csv_roundtrip_keeps_name_holding_csv_syntax(self, name):
+        # a csv writer before Python 3.13 left a bare "\r" unquoted, which
+        # the reader then refused
+        m = validate_matrix([[1.0, 4.0], [3.0, 2.0]], criteria=(name, "y"))
+        report = both_methods_report(m)
+        assert parse_report(emit_report(report, "csv"), "csv") == report
+
     @pytest.mark.parametrize("text", ["# a=b", "", "# schema=x\n# note=y\n"])
     def test_csv_report_without_table_rejected(self, text):
         with pytest.raises(ValueError, match="^csv report has no table header$"):
@@ -578,6 +647,15 @@ class TestPlotSeries:
         for line in text.strip().split("\n")[1:]:
             _, a, b = line.rsplit(",", 2)
             assert a == b
+
+    @pytest.mark.parametrize("name", ["x\ry", "x\ny", "x\r\ny", "x,y", 'x"y'])
+    def test_series_reads_back_name_holding_csv_syntax(self, name):
+        m = validate_matrix([[1.0, 4.0], [3.0, 2.0]], criteria=(name, "y"))
+        we, wd = entropy_weights(m)[0], dwm_weights(m)[0]
+        text = emit_plot_series(m.criterion_names, we, wd)
+        header, *rows = csv.reader(StringIO(text))
+        assert [row[0] for row in rows] == [name, "y"]
+        assert [float(row[1]) for row in rows] == pytest.approx(we.weights, abs=1e-6)
 
     def test_lengths_that_differ_rejected(self, example1):
         we, _ = entropy_weights(example1)

@@ -246,6 +246,26 @@ REFUSED = {
         saw_scores, ([[1, 2], [3, -INF]], HALVES), NonFiniteValue, at(1, 1)
     ),
     "rank_desc-2-d": (rank_desc, ([[1, 2], [3, 4]],), ValueError, "1-D vector"),
+    # an int past int64 or a None makes numpy read an object array, whose
+    # dtype is not complex though a cell is
+    "rank_desc-object-complex-big-int": (
+        rank_desc, ([np.complex128(1 + 1j), 10**20],), NonRectangular, "real numbers"
+    ),
+    "rank_desc-object-complex-none": (
+        rank_desc, ([np.complex128(1j), 2.0, None],), NonRectangular, "real numbers"
+    ),
+    "validate_matrix-object-complex-big-int": (
+        validate_matrix,
+        ([[np.complex128(1 + 1j), 10**20], [1, 2]],),
+        NonRectangular,
+        "real numbers",
+    ),
+    "pearson-object-complex-big-int": (
+        pearson,
+        ([np.complex128(1 + 1j), 10**20, 3], [1, 2, 4]),
+        NonRectangular,
+        "real numbers",
+    ),
     "DispersionBreakdown-nan-mean": (
         DispersionBreakdown, ([NAN, 2], [1, 1], [NAN, 0.5]), ValueError, "finite"
     ),
